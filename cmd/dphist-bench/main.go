@@ -20,10 +20,10 @@
 //	wavelet   Haar wavelet (Xiao et al.) vs H~ and H-bar
 //	2d        2D universal histograms (Appendix B extension)
 //	serving   release-store batch range-query throughput, one row per
-//	          strategy in cached and uncached modes (engineering)
+//	          strategy at 1,000- and 10,000-range batches (engineering)
 //	serving2d release-store batch rectangle-query throughput against 2-D
-//	          releases: summed-area fast path vs quadtree decomposition,
-//	          cached and uncached (engineering)
+//	          releases: summed-area fast path vs quadtree decomposition
+//	          (engineering)
 //	ingest    streaming write path: sustained events/sec through the
 //	          sharded ingest pipeline at 1, 4, and 16 shards, plus the
 //	          epoch mint latency over the absorbed data (engineering)
@@ -347,19 +347,19 @@ func run2D(cfg experiments.Config) {
 // servingRow is one machine-readable serving measurement; collected
 // rows become the BENCH_serving.json baseline CI archives so future
 // changes have a perf trajectory to compare against. Rows are keyed by
-// (experiment, release, mode); "uncached" rows measure the plan-based
-// batch engine, "cached" rows the answer cache serving the same batch.
+// (experiment, release, mode); the mode is empty except on the
+// "batch10k" rows, which time the same release at a batch size past
+// the kernels' parallel crossover.
 type servingRow struct {
 	Experiment      string  `json:"experiment"` // "serving" (1-D) or "serving2d"
 	Release         string  `json:"release"`
-	Mode            string  `json:"mode,omitempty"` // "uncached" (default) or "cached"
+	Mode            string  `json:"mode,omitempty"`
 	Queries         int     `json:"queries"`
 	NsPerQuery      float64 `json:"ns_per_query"`
 	QueriesPerSec   float64 `json:"queries_per_sec"`
 	AllocsPerQuery  float64 `json:"allocs_per_query"`
-	HitRatio        float64 `json:"hit_ratio,omitempty"` // cached rows only
-	P50Ns           float64 `json:"p50_ns,omitempty"`    // loadtest rows only
-	P99Ns           float64 `json:"p99_ns,omitempty"`    // loadtest rows only
+	P50Ns           float64 `json:"p50_ns,omitempty"` // loadtest rows only
+	P99Ns           float64 `json:"p99_ns,omitempty"` // loadtest rows only
 	ErrorRate       float64 `json:"error_rate,omitempty"`
 	ElapsedSeconds  float64 `json:"elapsed_seconds"`
 	DomainOrSide    int     `json:"domain"`
@@ -409,21 +409,21 @@ func timeBatches(experiment, release string, domain, batchSize, batches int, que
 	}
 }
 
+// releaseLabel names a row's release, suffixed with its mode when set.
+func (r servingRow) releaseLabel() string {
+	if r.Mode == "" {
+		return r.Release
+	}
+	return r.Release + "/" + r.Mode
+}
+
 func printServingRows(rows []servingRow) {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(w, "release\tmode\tqueries\telapsed\tns/query\tqueries/sec\tallocs/query\thit ratio\t\n")
+	fmt.Fprintf(w, "release\tqueries\telapsed\tns/query\tqueries/sec\tallocs/query\t\n")
 	for _, r := range rows {
-		mode := r.Mode
-		if mode == "" {
-			mode = "uncached"
-		}
-		hit := "-"
-		if r.Mode == "cached" {
-			hit = fmt.Sprintf("%.3f", r.HitRatio)
-		}
-		fmt.Fprintf(w, "%s\t%s\t%d\t%v\t%.0f\t%.3g\t%.4f\t%s\t\n",
-			r.Release, mode, r.Queries, time.Duration(r.ElapsedSeconds*float64(time.Second)).Round(time.Millisecond),
-			r.NsPerQuery, r.QueriesPerSec, r.AllocsPerQuery, hit)
+		fmt.Fprintf(w, "%s\t%d\t%v\t%.0f\t%.3g\t%.4f\t\n",
+			r.releaseLabel(), r.Queries, time.Duration(r.ElapsedSeconds*float64(time.Second)).Round(time.Millisecond),
+			r.NsPerQuery, r.QueriesPerSec, r.AllocsPerQuery)
 	}
 	w.Flush()
 }
@@ -471,21 +471,6 @@ func writeServingJSON(path string, seed uint64, scale string, rows []servingRow)
 	fmt.Printf("\nwrote %d serving rows to %s\n", len(rows), path)
 }
 
-// cachedRow times the same batch loop against the cache-enabled store
-// and annotates the row with the hit ratio observed during the timed
-// window (the warm-up miss primes the cache, so steady state is ~1.0).
-func cachedRow(experiment, release string, cached *dphist.Store, domain, batchSize, batches int, query func() error) servingRow {
-	before := cached.CacheStats()
-	row := timeBatches(experiment, release, domain, batchSize, batches, query)
-	after := cached.CacheStats()
-	row.Mode = "cached"
-	hits := after.Hits - before.Hits
-	if total := hits + (after.Misses - before.Misses); total > 0 {
-		row.HitRatio = float64(hits) / float64(total)
-	}
-	return row
-}
-
 // chainHierarchy builds a one-root constraint forest with n leaves, so
 // the hierarchy strategy can serve the same domain as the others.
 func chainHierarchy(n int) *dphist.Hierarchy {
@@ -505,9 +490,7 @@ func chainHierarchy(n int) *dphist.Hierarchy {
 // benchmarks: once a release is minted (one budget charge), how fast can
 // arbitrary range queries be answered against it? It mints one release
 // per strategy into a dphist.Store and times 1,000-range batches through
-// Store.Query — the exact path POST /v1/query serves — once against an
-// uncached store (the plan-based batch engine) and once against a
-// cache-enabled twin (the answer cache in steady state).
+// Store.Query — the exact path POST /v1/query serves.
 func runServing(cfg experiments.Config) []servingRow {
 	domain := 1 << 14
 	batches := 200
@@ -531,7 +514,6 @@ func runServing(cfg experiments.Config) []servingRow {
 	}
 
 	store := dphist.NewStore()
-	cached := dphist.NewStore(dphist.WithQueryCache(256))
 	session, err := dphist.NewSession(dphist.MustNew(dphist.WithSeed(cfg.Seed)), 100)
 	if err != nil {
 		fatalf("%v", err)
@@ -567,11 +549,7 @@ func runServing(cfg experiments.Config) []servingRow {
 			req.Strategy = dphist.StrategyHierarchy
 			req.Hierarchy = chainHierarchy(domain)
 		}
-		rel, _, err := store.Mint(sess, name, req)
-		if err != nil {
-			fatalf("%s: %v", name, err)
-		}
-		if _, err := cached.Put(name, rel); err != nil {
+		if _, _, err := store.Mint(sess, name, req); err != nil {
 			fatalf("%s: %v", name, err)
 		}
 	}
@@ -580,10 +558,6 @@ func runServing(cfg experiments.Config) []servingRow {
 	for _, name := range names {
 		rows = append(rows, timeBatches("serving", name, domain, batchSize, batches, func() error {
 			_, _, err := store.Query(name, specs)
-			return err
-		}))
-		rows = append(rows, cachedRow("serving", name, cached, domain, batchSize, batches, func() error {
-			_, _, err := cached.Query(name, specs)
 			return err
 		}))
 	}
@@ -646,7 +620,6 @@ func runServing2D(cfg experiments.Config) []servingRow {
 	}
 
 	store := dphist.NewStore()
-	cachedStore := dphist.NewStore(dphist.WithQueryCache(256))
 	session, err := dphist.NewSession(dphist.MustNew(dphist.WithSeed(cfg.Seed)), 100)
 	if err != nil {
 		fatalf("%v", err)
@@ -657,12 +630,8 @@ func runServing2D(cfg experiments.Config) []servingRow {
 		fatalf("%v", err)
 	}
 	for name, sess := range map[string]*dphist.Session{"quadtree": session, "quadtree-consistent": consistent} {
-		rel, _, err := store.Mint(sess, name, dphist.Request{
-			Strategy: dphist.StrategyUniversal2D, Cells: cells, Epsilon: 0.1})
-		if err != nil {
-			fatalf("%s: %v", name, err)
-		}
-		if _, err := cachedStore.Put(name, rel); err != nil {
+		if _, _, err := store.Mint(sess, name, dphist.Request{
+			Strategy: dphist.StrategyUniversal2D, Cells: cells, Epsilon: 0.1}); err != nil {
 			fatalf("%s: %v", name, err)
 		}
 	}
@@ -671,10 +640,6 @@ func runServing2D(cfg experiments.Config) []servingRow {
 	for _, name := range []string{"quadtree", "quadtree-consistent"} {
 		rows = append(rows, timeBatches("serving2d", name, side, batchSize, batches, func() error {
 			_, _, err := store.QueryRects(name, rects)
-			return err
-		}))
-		rows = append(rows, cachedRow("serving2d", name, cachedStore, side, batchSize, batches, func() error {
-			_, _, err := cachedStore.QueryRects(name, rects)
 			return err
 		}))
 	}
@@ -770,11 +735,7 @@ func runCompare(baselinePath, candidatePath string) {
 	}
 	for _, b := range base.Rows {
 		c, ok := find(cand, b)
-		mode := b.Mode
-		if mode == "" {
-			mode = "uncached"
-		}
-		label := fmt.Sprintf("%s/%s/%s", b.Experiment, b.Release, mode)
+		label := b.Experiment + "/" + b.releaseLabel()
 		if !ok {
 			fmt.Fprintf(w, "%s\t(row)\t-\t-\t-\tMISSING\t\n", label)
 			failures++
@@ -796,10 +757,6 @@ func runCompare(baselinePath, candidatePath string) {
 			c.NsPerQuery > b.NsPerQuery*(1+compareTolerance) && c.NsPerQuery-b.NsPerQuery > nsNoiseFloor)
 		check(label, "allocs_per_query", b.AllocsPerQuery, c.AllocsPerQuery,
 			c.AllocsPerQuery > b.AllocsPerQuery*(1+compareTolerance) && c.AllocsPerQuery-b.AllocsPerQuery > 0.25)
-		if b.Mode == "cached" {
-			check(label, "hit_ratio", b.HitRatio, c.HitRatio,
-				c.HitRatio < b.HitRatio*(1-compareTolerance))
-		}
 	}
 	w.Flush()
 	if failures > 0 {
@@ -1432,7 +1389,7 @@ func runLoadtest(cfg experiments.Config) []servingRow {
 		}
 		cells[y] = row
 	}
-	store := dphist.NewStore(dphist.WithBudget(1e9), dphist.WithQueryCache(1024))
+	store := dphist.NewStore(dphist.WithBudget(1e9))
 	in, err := ingest.New(ingest.Config{
 		Store:     store,
 		Mechanism: dphist.MustNew(dphist.WithSeed(cfg.Seed + 1)),

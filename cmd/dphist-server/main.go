@@ -28,11 +28,6 @@
 //	-snapshot-every N journal records between snapshots (default 1024)
 //	-store-cap N      max stored releases, LRU-evicted past it (0 = unbounded)
 //	-store-ttl D      stored-release lifetime, e.g. 1h (0 = forever)
-//	-cache-cap N      answer-cache capacity per query family (default
-//	                  1024): repeated /v1/query and /v1/query2d batches
-//	                  against an unchanged release answer from memory
-//	                  (invalidated on re-mint, delete, and TTL expiry;
-//	                  hit counters in /v1/stats). 0 disables caching
 //	-epoch D          enable streaming ingest: POST /v1/ingest absorbs
 //	                  event batches and every D (e.g. 10s, 5m) each
 //	                  stream's accumulated histogram is minted as a
@@ -63,8 +58,8 @@
 // API:
 //
 //	GET  /healthz        -> {"status":"ok"} (load-balancer probe)
-//	GET  /v1/stats       -> uptime, request counters, answer-cache
-//	                        hits/misses/ratio, and per-namespace store
+//	GET  /v1/stats       -> uptime, request counters, ingest and
+//	                        replication state, and per-namespace store
 //	                        sizes and budgets
 //	GET  /v1/budget      -> {"namespace":..,"total":..,"spent":..,"remaining":..}
 //	GET  /v1/strategies  -> {"strategies":["laplace","universal",..]}
@@ -144,7 +139,6 @@ func main() {
 		snapEvery  = flag.Int("snapshot-every", 0, "journal records between snapshots (0 = default 1024)")
 		storeCap   = flag.Int("store-cap", 0, "max stored releases, LRU-evicted past it (0 = unbounded)")
 		storeTTL   = flag.Duration("store-ttl", 0, "stored-release lifetime (0 = forever)")
-		cacheCap   = flag.Int("cache-cap", 1024, "answer-cache capacity per query family (0 = caching off)")
 		epoch      = flag.Duration("epoch", 0, "streaming ingest epoch interval (0 = ingest off)")
 		window     = flag.Int("window", 0, "sliding-window width in epochs (0 = off)")
 		ingShards  = flag.Int("ingest-shards", 4, "ingest worker shards")
@@ -168,7 +162,7 @@ func main() {
 			os.Exit(2)
 		}
 		runFollower(*follow, *addr, *budget, *seed, *branching,
-			*dataDir, *shards, *snapEvery, *storeCap, *storeTTL, *cacheCap)
+			*dataDir, *shards, *snapEvery, *storeCap, *storeTTL)
 		return
 	}
 	if *domainSize < 1 {
@@ -205,7 +199,6 @@ func main() {
 		MaxEpsilonPerRequest: *epsCap,
 		StoreCapacity:        *storeCap,
 		StoreTTL:             *storeTTL,
-		CacheCapacity:        *cacheCap,
 	}
 	// The store is built here (not inside server.New) whenever something
 	// besides the HTTP handler needs to hold it: durability, or an ingest
@@ -216,7 +209,6 @@ func main() {
 			dphist.WithBudget(*budget),
 			dphist.WithCapacity(*storeCap),
 			dphist.WithTTL(*storeTTL),
-			dphist.WithQueryCache(*cacheCap),
 		}
 		if *shards > 0 {
 			opts = append(opts, dphist.WithShards(*shards))
@@ -345,7 +337,7 @@ func main() {
 // follower-mode server that refuses writes with 403. Blocks until
 // SIGINT/SIGTERM, then stops the tailer BEFORE closing the store.
 func runFollower(primary, addr string, budget float64, seed uint64, branching int,
-	dataDir string, shards, snapEvery, storeCap int, storeTTL time.Duration, cacheCap int) {
+	dataDir string, shards, snapEvery, storeCap int, storeTTL time.Duration) {
 	if !(budget > 0) || math.IsInf(budget, 0) {
 		fmt.Fprintf(os.Stderr, "dphist-server: -budget %v must be positive and finite\n", budget)
 		os.Exit(2)
@@ -354,7 +346,6 @@ func runFollower(primary, addr string, budget float64, seed uint64, branching in
 		dphist.WithBudget(budget),
 		dphist.WithCapacity(storeCap),
 		dphist.WithTTL(storeTTL),
-		dphist.WithQueryCache(cacheCap),
 	}
 	if shards > 0 {
 		opts = append(opts, dphist.WithShards(shards))

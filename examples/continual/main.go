@@ -35,7 +35,7 @@ const domain = 64 // buckets per stream
 func main() {
 	// One store serves both sides: the ingest pipeline mints into it,
 	// the HTTP read path queries out of it.
-	store := dphist.NewStore(dphist.WithBudget(10), dphist.WithQueryCache(64))
+	store := dphist.NewStore(dphist.WithBudget(10))
 	pipe, err := ingest.New(ingest.Config{
 		Store:       store,
 		Mechanism:   dphist.MustNew(dphist.WithSeed(7)),

@@ -88,7 +88,7 @@ func TestHistQuantileAndMerge(t *testing.T) {
 // generator drives.
 func newLoadServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	store := dphist.NewStore(dphist.WithBudget(1000), dphist.WithQueryCache(64))
+	store := dphist.NewStore(dphist.WithBudget(1000))
 	mech, err := dphist.New(dphist.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)

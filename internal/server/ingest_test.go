@@ -16,7 +16,7 @@ import (
 // calls mint.
 func newIngestServer(t *testing.T, mutate func(*ingest.Config)) (*httptest.Server, *ingest.Ingester, *dphist.Store) {
 	t.Helper()
-	store := dphist.NewStore(dphist.WithBudget(100), dphist.WithQueryCache(32))
+	store := dphist.NewStore(dphist.WithBudget(100))
 	mech, err := dphist.New(dphist.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)

@@ -102,13 +102,6 @@ type Config struct {
 	// StoreTTL expires stored releases this long after minting. 0 means
 	// they never expire. Ignored when Store is set.
 	StoreTTL time.Duration
-	// CacheCapacity enables the store's answer cache with this many
-	// cached batches per query family (dphist.WithQueryCache): repeated
-	// /v1/query and /v1/query2d batches against an unchanged release
-	// answer from memory, with hit counters in /v1/stats. 0 disables
-	// caching. Ignored when Store is set — configure the cache on the
-	// store you pass in.
-	CacheCapacity int
 	// Ingester, when non-nil, enables the streaming write path: POST
 	// /v1/ingest absorbs event batches, POST /v1/ingest/live answers the
 	// continual-count surface, and /v1/stats grows an ingest block. It
@@ -169,7 +162,7 @@ type Server struct {
 	autoResolved []atomic.Int64
 
 	// nsViews caches namespace handles for the query hot path; see
-	// nsView in wire.go. Only namespaces that exist are ever cached.
+	// nsView in wire.go. Only namespaces that served a query are cached.
 	nsViews sync.Map
 }
 
@@ -201,7 +194,6 @@ func New(cfg Config) (*Server, error) {
 		opts := []dphist.StoreOption{
 			dphist.WithCapacity(cfg.StoreCapacity),
 			dphist.WithTTL(cfg.StoreTTL),
-			dphist.WithQueryCache(cfg.CacheCapacity),
 		}
 		if cfg.Budget > 0 {
 			opts = append(opts, dphist.WithBudget(cfg.Budget))
@@ -435,7 +427,6 @@ type statsResponse struct {
 	JournalSeq    uint64           `json:"journal_seq"`
 	SnapshotSeq   uint64           `json:"snapshot_seq"`
 	Requests      requestStats     `json:"requests"`
-	Cache         cacheStats       `json:"cache"`
 	Ingest        ingestStats      `json:"ingest"`
 	Replication   replicationStats `json:"replication"`
 	Namespaces    []namespaceStats `json:"namespaces"`
@@ -479,17 +470,6 @@ type requestStats struct {
 	AutoResolved map[string]int64 `json:"auto_resolved,omitempty"`
 }
 
-// cacheStats is the answer cache's slice of /v1/stats. HitRatio is
-// hits/(hits+misses), 0 before the first query.
-type cacheStats struct {
-	Enabled  bool    `json:"enabled"`
-	Capacity int     `json:"capacity"`
-	Entries  int     `json:"entries"`
-	Hits     int64   `json:"hits"`
-	Misses   int64   `json:"misses"`
-	HitRatio float64 `json:"hit_ratio"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	names := s.store.Namespaces()
 	// The default namespace is always reported, even before first use.
@@ -497,7 +477,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		names = append([]string{dphist.DefaultNamespace}, names...)
 		sort.Strings(names)
 	}
-	cs := s.store.CacheStats()
 	stats := statsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Durable:       s.store.Dir() != "",
@@ -511,16 +490,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			RangeQueries:   s.queryCount.Load(),
 			EncodeErrors:   s.encodeErrors.Load(),
 		},
-		Cache: cacheStats{
-			Enabled:  cs.Capacity > 0,
-			Capacity: cs.Capacity,
-			Entries:  cs.Entries,
-			Hits:     cs.Hits,
-			Misses:   cs.Misses,
-		},
-	}
-	if total := cs.Hits + cs.Misses; total > 0 {
-		stats.Cache.HitRatio = float64(cs.Hits) / float64(total)
 	}
 	for _, st := range dphist.Strategies() {
 		if n := s.autoResolved[int(st)].Load(); n > 0 {
@@ -931,11 +900,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ns string) 
 		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "name is required"})
 		return
 	}
-	answers, entry, err := s.nsView(ns).QueryInto(sc.answers[:0], name, specs)
+	view, cached := s.nsView(ns)
+	answers, entry, err := view.QueryInto(sc.answers[:0], name, specs)
 	sc.answers = answers[:0]
 	if err != nil {
 		s.serveQueryError(w, err)
 		return
+	}
+	if !cached {
+		s.nsViews.Store(ns, view)
 	}
 	s.queryCount.Add(1)
 	s.writeQueryResponse(w, sc, entry, answers)
@@ -975,11 +948,15 @@ func (s *Server) handleQuery2D(w http.ResponseWriter, r *http.Request, ns string
 		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "name is required"})
 		return
 	}
-	answers, entry, err := s.nsView(ns).QueryRectsInto(sc.answers[:0], name, rects)
+	view, cached := s.nsView(ns)
+	answers, entry, err := view.QueryRectsInto(sc.answers[:0], name, rects)
 	sc.answers = answers[:0]
 	if err != nil {
 		s.serveQueryError(w, err)
 		return
+	}
+	if !cached {
+		s.nsViews.Store(ns, view)
 	}
 	s.queryCount.Add(1)
 	s.writeQueryResponse(w, sc, entry, answers)

@@ -1073,19 +1073,16 @@ func appendQueryResponse(b []byte, entry dphist.StoreEntry, answers []float64) (
 	return append(b, ']', '}', '\n'), nil
 }
 
-// nsView returns the namespace handle for ns, cached so the hot path
-// does not allocate a view per request. Views are cached only for
-// namespaces that exist (or the default): a probe for an arbitrary name
-// must not grow server state, reads never create namespaces.
-func (s *Server) nsView(ns string) *dphist.Namespace {
+// nsView returns the namespace handle for ns and whether it came from
+// the cache that spares the hot path a view allocation per request. The
+// query handlers cache a fresh view only after a query through it found
+// a live release, which proves the namespace exists: a probe for an
+// arbitrary name neither scans the store nor grows server state.
+func (s *Server) nsView(ns string) (*dphist.Namespace, bool) {
 	if v, ok := s.nsViews.Load(ns); ok {
-		return v.(*dphist.Namespace)
+		return v.(*dphist.Namespace), true
 	}
-	v := s.store.Namespace(ns)
-	if ns == dphist.DefaultNamespace || s.store.HasNamespace(ns) {
-		s.nsViews.Store(ns, v)
-	}
-	return v
+	return s.store.Namespace(ns), false
 }
 
 // serveQueryError maps a query failure onto the same statuses the

@@ -5,8 +5,8 @@ package dphist
 // exactly — bit-identically — what the per-query Release.Range and
 // RectQuerier.Rect calls answer, before and after a JSON round trip
 // through DecodeRelease (which recompiles the plan from the wire form).
-// This is the contract that lets the store cache batch answers and
-// serve them interchangeably with live computation.
+// This is the contract that lets the store answer every batch from the
+// compiled plan while Range stays the reference semantics.
 
 import (
 	"encoding/json"

@@ -5,8 +5,8 @@ package dphist
 // batch engine's contract: QueryBatch must answer exactly what
 // per-query Range answers (and QueryRects what Rect answers) with no
 // panic, for whatever shape the payload produced. This is the plan the
-// store snapshots and the cache memoizes, so any divergence here is a
-// served wrong answer.
+// store snapshots and answers every batch from, so any divergence here
+// is a served wrong answer.
 
 import (
 	"encoding/json"

@@ -191,15 +191,14 @@ func (s *Store) Bootstrap(data []byte) error {
 	return nil
 }
 
-// clearStateForBootstrap empties every shard (invalidating cached
-// answers as it goes) and zeroes every accountant in place, keeping
-// accountant pointer identity for callers that cached one.
+// clearStateForBootstrap empties every shard and zeroes every
+// accountant in place, keeping accountant pointer identity for callers
+// that cached one.
 func (s *Store) clearStateForBootstrap() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for k := range sh.items {
-			s.removeLocked(sh, k)
-		}
+		clear(sh.items)
+		sh.recency.Init()
 		clear(sh.versions)
 		sh.mu.Unlock()
 	}
@@ -345,10 +344,6 @@ func (s *Store) recoverPut(ns, name string, version int, storedAt time.Time, pay
 	} else {
 		sh.items[k] = &storeItem{release: rel, plan: releasePlan(rel), entry: entry, elem: sh.recency.PushFront(k)}
 	}
-	// Answer caches key by version, so a shipped re-put would already
-	// miss — but a replica applying while serving must still drop the
-	// stale version's answers promptly rather than waiting for LRU.
-	s.invalidateCached(ns, name)
 	sh.mu.Unlock()
 	return nil
 }

@@ -10,7 +10,7 @@ package dphist
 // themselves are immutable, so Store hands out the stored values
 // directly; a query never copies a release.
 //
-// Three scaling axes are built in:
+// Two scaling axes are built in:
 //
 //   - Sharding. Entries hash across N independent shards, each behind
 //     its own RWMutex, so hot Get/Query metadata traffic does not
@@ -27,17 +27,14 @@ package dphist
 //     serves many protected datasets (tenants) with independent budgets.
 //     The plain Store methods are the "default" namespace.
 //
-//   - Answer caching. WithQueryCache bounds a sharded LRU cache of
-//     whole batch answers keyed by (namespace, name, version, specs),
-//     with single-flight stampede protection; entries are invalidated
-//     on Put, Delete, TTL expiry, and capacity eviction, so a cached
-//     answer is always the answer the live release would give.
+// There is no answer cache: every batch is answered by the release's
+// compiled plan, whose kernels cost about what hashing and copying the
+// batch for a cache lookup would.
 
 import (
 	"container/list"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,7 +42,6 @@ import (
 	"time"
 
 	"github.com/dphist/dphist/internal/plan"
-	"github.com/dphist/dphist/internal/qcache"
 )
 
 // ErrReleaseNotFound reports a Store lookup under a name that holds no
@@ -142,18 +138,6 @@ func WithBudget(total float64) StoreOption {
 	return func(s *Store) { s.budget = total }
 }
 
-// WithQueryCache enables the sharded answer cache on the store's query
-// paths, bounded to n cached batches per query family (range batches
-// and rectangle batches are cached separately). Cached answers are
-// keyed by (namespace, name, version, spec batch) and invalidated on
-// Put, Delete, TTL expiry, and capacity eviction, so they are always
-// the answers the live release would give; concurrent misses for one
-// batch are collapsed to a single computation. n <= 0 (the default)
-// disables caching.
-func WithQueryCache(n int) StoreOption {
-	return func(s *Store) { s.cacheCap = n }
-}
-
 // defaultShards is the shard count for unbounded stores; capacity-
 // bounded stores default to a single shard so LRU order stays exact.
 const defaultShards = 8
@@ -203,18 +187,11 @@ type Store struct {
 	ttl        time.Duration
 	shardCount int
 	budget     float64
-	cacheCap   int // answer-cache bound per query family; 0 = disabled
 	snapEvery  int
 	syncWrites bool
 	now        func() time.Time // injectable clock for tests
 
 	shards []*storeShard
-
-	// The answer caches; nil when caching is disabled. Their locks are
-	// leaves: the cache never calls back into the store, so holding a
-	// shard lock while invalidating is safe.
-	rangeCache *qcache.Cache[[]RangeSpec]
-	rectCache  *qcache.Cache[[]RectSpec]
 
 	acctMu sync.Mutex
 	accts  map[string]*Accountant
@@ -266,10 +243,6 @@ func NewStore(opts ...StoreOption) *Store {
 			versions: make(map[nsKey]int),
 		}
 	}
-	if s.cacheCap > 0 {
-		s.rangeCache = qcache.New(s.cacheCap, slices.Equal[[]RangeSpec], slices.Clone[[]RangeSpec])
-		s.rectCache = qcache.New(s.cacheCap, slices.Equal[[]RectSpec], slices.Clone[[]RectSpec])
-	}
 	return s
 }
 
@@ -312,18 +285,19 @@ func (s *Store) Namespace(name string) *Namespace {
 }
 
 // Namespaces returns the sorted names of every namespace that currently
-// holds a live release or has an instantiated budget accountant.
+// holds a live release or has an instantiated budget accountant. It only
+// reads, so it takes the shard read locks and never stalls a query.
 func (s *Store) Namespaces() []string {
 	seen := make(map[string]bool)
 	now := s.nowIfTTL()
 	for _, sh := range s.shards {
-		sh.mu.Lock()
+		sh.mu.RLock()
 		for k, it := range sh.items {
-			if s.ttl <= 0 || !s.expired(it, now) {
+			if !s.expired(it, now) {
 				seen[k.ns] = true
 			}
 		}
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
 	s.acctMu.Lock()
 	for ns := range s.accts {
@@ -341,7 +315,8 @@ func (s *Store) Namespaces() []string {
 // HasNamespace reports whether the namespace currently holds a live
 // release or has an instantiated budget accountant — without creating
 // either, so read-only surfaces (dashboards, probes) can answer for
-// arbitrary names while only writes bring namespaces into being.
+// arbitrary names while only writes bring namespaces into being. Like
+// Namespaces it scans under the shard read locks only.
 func (s *Store) HasNamespace(name string) bool {
 	if name == "" {
 		name = DefaultNamespace
@@ -354,14 +329,14 @@ func (s *Store) HasNamespace(name string) bool {
 	}
 	now := s.nowIfTTL()
 	for _, sh := range s.shards {
-		sh.mu.Lock()
+		sh.mu.RLock()
 		for k, it := range sh.items {
-			if k.ns == name && (s.ttl <= 0 || !s.expired(it, now)) {
-				sh.mu.Unlock()
+			if k.ns == name && !s.expired(it, now) {
+				sh.mu.RUnlock()
 				return true
 			}
 		}
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
 	return false
 }
@@ -605,8 +580,7 @@ func (s *Store) Query(name string, specs []RangeSpec) ([]float64, StoreEntry, er
 
 // QueryInto is Query appending into dst, so a serving loop can reuse one
 // result buffer across batches and keep the steady-state allocation
-// count at zero — the answer cache appends hits straight into dst. dst
-// may be nil. On error dst is returned truncated to its original length,
+// count at zero. dst may be nil. On error dst is returned truncated to its original length,
 // never with a partial batch appended.
 func (s *Store) QueryInto(dst []float64, name string, specs []RangeSpec) ([]float64, StoreEntry, error) {
 	return s.queryInto(dst, DefaultNamespace, name, specs)
@@ -699,9 +673,6 @@ func (s *Store) put(ns, name string, r Release) (StoreEntry, error) {
 	for s.shardCap > 0 && len(sh.items) > s.shardCap {
 		s.removeLocked(sh, sh.recency.Back().Value.(nsKey))
 	}
-	// A re-Put bumps the version, so the old answers are unreachable by
-	// key already; dropping them frees their memory immediately.
-	s.invalidateCached(ns, name)
 	sh.mu.Unlock()
 	if s.jnl != nil {
 		s.opMu.RUnlock()
@@ -740,8 +711,8 @@ func (s *Store) snapshotLive(k nsKey) (Release, *plan.Plan, StoreEntry, bool) {
 		}
 		sh.mu.RUnlock()
 		if expired {
-			// Upgrade to remove the corpse (and its cached answers); the
-			// re-check guards a racing Put that revived the name.
+			// Upgrade to remove the corpse; the re-check guards a racing
+			// Put that revived the name.
 			sh.mu.Lock()
 			if it, ok := sh.items[k]; ok && s.expired(it, s.now()) {
 				s.removeLocked(sh, k)
@@ -781,18 +752,6 @@ func (s *Store) queryInto(dst []float64, ns, name string, specs []RangeSpec) ([]
 	if !ok {
 		return dst[:keep], StoreEntry{}, fmt.Errorf("%w: %q", ErrReleaseNotFound, name)
 	}
-	if c := s.rangeCache; c != nil {
-		answers, err := c.DoInto(dst, qcache.Key{
-			Namespace: ns, Name: name, Version: entry.Version,
-			Hash: hashRangeSpecs(specs), Len: len(specs),
-		}, specs, func(owned []float64) ([]float64, error) {
-			return answerRangesInto(owned, pl, rel, specs)
-		})
-		if err != nil {
-			return dst[:keep], entry, err
-		}
-		return answers, entry, nil
-	}
 	answers, err := answerRangesInto(dst, pl, rel, specs)
 	if err != nil {
 		return dst[:keep], entry, err
@@ -810,107 +769,11 @@ func (s *Store) queryRectsInto(dst []float64, ns, name string, specs []RectSpec)
 	if !ok {
 		return dst[:keep], StoreEntry{}, fmt.Errorf("%w: %q", ErrReleaseNotFound, name)
 	}
-	if c := s.rectCache; c != nil {
-		answers, err := c.DoInto(dst, qcache.Key{
-			Namespace: ns, Name: name, Version: entry.Version,
-			Hash: hashRectSpecs(specs), Len: len(specs),
-		}, specs, func(owned []float64) ([]float64, error) {
-			return answerRectsInto(owned, pl, rel, specs)
-		})
-		if err != nil {
-			return dst[:keep], entry, err
-		}
-		return answers, entry, nil
-	}
 	answers, err := answerRectsInto(dst, pl, rel, specs)
 	if err != nil {
 		return dst[:keep], entry, err
 	}
 	return answers, entry, nil
-}
-
-// hashRangeSpecs fingerprints a range batch with FNV-1a over the spec
-// words. Collisions are harmless — the cache verifies the full batch on
-// every hit — so speed wins over cryptographic strength.
-func hashRangeSpecs(specs []RangeSpec) uint64 {
-	h := uint64(fnvOffset64)
-	for _, q := range specs {
-		h = fnvMix(h, uint64(q.Lo))
-		h = fnvMix(h, uint64(q.Hi))
-	}
-	return h
-}
-
-// hashRectSpecs is hashRangeSpecs for rectangle batches.
-func hashRectSpecs(specs []RectSpec) uint64 {
-	h := uint64(fnvOffset64)
-	for _, q := range specs {
-		h = fnvMix(h, uint64(q.X0))
-		h = fnvMix(h, uint64(q.Y0))
-		h = fnvMix(h, uint64(q.X1))
-		h = fnvMix(h, uint64(q.Y1))
-	}
-	return h
-}
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnvMix folds one 64-bit word into an FNV-1a state byte by byte.
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
-	return h
-}
-
-// invalidateCached drops every cached answer batch for the release; a
-// no-op when caching is disabled.
-func (s *Store) invalidateCached(ns, name string) {
-	if s.rangeCache != nil {
-		s.rangeCache.Invalidate(ns, name)
-	}
-	if s.rectCache != nil {
-		s.rectCache.Invalidate(ns, name)
-	}
-}
-
-// CacheStats is the answer cache's scorecard across both query
-// families. All fields are zero when caching is disabled (Capacity > 0
-// distinguishes an enabled-but-cold cache from a disabled one).
-type CacheStats struct {
-	// Hits counts batches answered from memory, including callers that
-	// shared another caller's in-flight computation.
-	Hits int64
-	// Misses counts batches that had to be computed from a query plan.
-	Misses int64
-	// Entries is the number of cached batches right now.
-	Entries int
-	// Capacity is the configured bound per query family (WithQueryCache).
-	Capacity int
-}
-
-// CacheStats reports the answer cache's hit/miss counters and
-// occupancy, summed over the range and rectangle families.
-func (s *Store) CacheStats() CacheStats {
-	var out CacheStats
-	if s.rangeCache != nil {
-		st := s.rangeCache.Stats()
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Entries += st.Entries
-		out.Capacity = st.Capacity
-	}
-	if s.rectCache != nil {
-		st := s.rectCache.Stats()
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Entries += st.Entries
-	}
-	return out
 }
 
 func (s *Store) list(ns string) []StoreEntry {
@@ -1033,11 +896,9 @@ func (s *Store) sweepExpiredLocked(sh *storeShard, now time.Time) {
 	}
 }
 
-// removeLocked drops the entry under k and its cached answers; the
-// cache locks are leaves, so invalidating under the shard lock is safe.
+// removeLocked drops the entry under k.
 func (s *Store) removeLocked(sh *storeShard, k nsKey) {
 	it := sh.items[k]
 	sh.recency.Remove(it.elem)
 	delete(sh.items, k)
-	s.invalidateCached(k.ns, k.name)
 }

@@ -97,7 +97,7 @@ func TestConcurrentQueryAndPutRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStore(WithShards(1), WithQueryCache(32))
+	s := NewStore(WithShards(1))
 	if _, err := s.Put("hot", rel); err != nil {
 		t.Fatal(err)
 	}
@@ -135,4 +135,40 @@ func TestConcurrentQueryAndPutRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// Namespace probes only read, so they must get through while every
+// shard is read-locked — by in-flight query snapshots, say. A probe
+// that took the write lock would wait out every reader, and its pending
+// Lock would stall each new reader behind it.
+func TestNamespaceProbesTakeReadLocks(t *testing.T) {
+	s := NewStore(WithShards(4), WithTTL(time.Hour))
+	if _, err := s.Namespace("tenant").Put("r", testRelease(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+	}
+	done := make(chan []string, 1)
+	go func() {
+		if s.HasNamespace("ghost") || !s.HasNamespace("tenant") {
+			t.Error("HasNamespace misreported")
+		}
+		done <- s.Namespaces()
+	}()
+	var names []string
+	select {
+	case names = <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("namespace probe blocked behind shard read locks")
+	}
+	for _, sh := range s.shards {
+		sh.mu.RUnlock()
+	}
+	if names == nil {
+		names = <-done // the blocked probe finishes once the readers leave
+	}
+	if len(names) != 1 || names[0] != "tenant" {
+		t.Errorf("Namespaces = %v, want [tenant]", names)
+	}
 }

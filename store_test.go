@@ -18,6 +18,24 @@ func testRelease(t testing.TB, seed uint64) Release {
 	return rel
 }
 
+// assertAnswers requires answers to equal QueryBatch(rel, specs) bit for
+// bit: a stored release must answer exactly as the bare release does.
+func assertAnswers(t *testing.T, answers []float64, rel Release, specs []RangeSpec) {
+	t.Helper()
+	want, err := QueryBatch(rel, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(answers) != len(want) {
+		t.Fatalf("%d answers, want %d", len(answers), len(want))
+	}
+	for i := range want {
+		if answers[i] != want[i] {
+			t.Fatalf("answers = %v, want %v", answers, want)
+		}
+	}
+}
+
 func TestStorePutGetVersioning(t *testing.T) {
 	s := NewStore()
 	rel := testRelease(t, 1)
@@ -231,15 +249,7 @@ func TestStoreQuery(t *testing.T) {
 	if entry.Version != 1 {
 		t.Fatalf("entry = %+v", entry)
 	}
-	want, err := QueryBatch(rel, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if answers[i] != want[i] {
-			t.Fatalf("answers = %v, want %v", answers, want)
-		}
-	}
+	assertAnswers(t, answers, rel, specs)
 	if _, _, err := s.Query("absent", specs); !errors.Is(err, ErrReleaseNotFound) {
 		t.Fatalf("missing name error = %v", err)
 	}
