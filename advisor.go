@@ -4,13 +4,6 @@ import (
 	"github.com/dphist/dphist/internal/workload"
 )
 
-// ErrDomainTooLarge reports that an exact advisor prediction was
-// requested over a domain too large for the closed-form computation
-// (the inferred-hierarchy prediction factorizes a matrix cubic in the
-// padded leaf count). Servers should treat it as an unprocessable
-// request, not an internal failure.
-var ErrDomainTooLarge = workload.ErrDomainTooLarge
-
 // Workload is a weighted set of queries an analyst plans to ask — range
 // queries over a 1-D domain, optionally rectangle queries over a 2-D
 // grid. Before spending any privacy budget, the workload can predict
@@ -62,9 +55,8 @@ func (w *Workload) PredictLaplace(eps float64) float64 {
 // PredictHierarchical returns the expected weighted total squared error
 // of answering the workload from a UniversalHistogram with branching k:
 // the noisy-tree cost when inferred is false, the exact post-inference
-// cost when true. The exact prediction requires a padded domain of at
-// most 2048 leaves and returns an error wrapping ErrDomainTooLarge
-// beyond that.
+// cost when true. Both are exact on every domain; the post-inference
+// cost takes O(k log n) per query.
 func (w *Workload) PredictHierarchical(k int, eps float64, inferred bool) (float64, error) {
 	if inferred {
 		return w.inner.ErrorHBar(k, eps)
@@ -114,8 +106,7 @@ type Recommendation struct {
 // wavelet, and sorted strategies for range queries, universal2d when a
 // grid and rectangles are declared — and returns the predicted-best
 // release strategy for this workload at this epsilon. The hierarchical
-// prediction is exact up to 2048 padded leaves and falls back to its
-// no-inference upper bound beyond.
+// prediction is the exact post-inference error on every domain.
 func (w *Workload) Recommend(eps float64, branchings ...int) (Recommendation, error) {
 	preds, err := w.inner.PredictAll(eps, workload.PredictOptions{Branchings: branchings})
 	if err != nil {

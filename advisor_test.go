@@ -2,7 +2,6 @@ package dphist
 
 import (
 	"encoding/json"
-	"errors"
 	"sort"
 	"testing"
 )
@@ -62,38 +61,6 @@ func TestRecommendationShapeIsFlat(t *testing.T) {
 	for _, alt := range rec.Alternatives {
 		if alt.Confidence != "exact" && alt.Confidence != "bound" {
 			t.Fatalf("alternative confidence %q", alt.Confidence)
-		}
-	}
-}
-
-// TestPredictHierarchicalDomainTooLarge pins the typed error a serving
-// layer maps to 422: an exact inferred prediction over a domain past the
-// closed-form cap fails with ErrDomainTooLarge, while the no-inference
-// bound at the same size succeeds.
-func TestPredictHierarchicalDomainTooLarge(t *testing.T) {
-	w, err := NewWorkload(5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Add(0, 5000, 1); err != nil {
-		t.Fatal(err)
-	}
-	_, err = w.PredictHierarchical(2, 1.0, true)
-	if !errors.Is(err, ErrDomainTooLarge) {
-		t.Fatalf("err = %v, want ErrDomainTooLarge", err)
-	}
-	if _, err := w.PredictHierarchical(2, 1.0, false); err != nil {
-		t.Fatalf("H~ bound failed on large domain: %v", err)
-	}
-	// Recommend still works past the cap: the universal prediction
-	// degrades to its bound instead of failing.
-	rec, err := w.Recommend(1.0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, alt := range rec.Alternatives {
-		if alt.Strategy == "universal" && alt.Confidence != "bound" {
-			t.Fatalf("universal past the cap reported %q", alt.Confidence)
 		}
 	}
 }

@@ -30,11 +30,6 @@ var ErrBadSketch = errors.New("dphist: bad workload sketch")
 // memory or CPU on the request path.
 const maxSketchQueries = 4096
 
-// autoMaxExactLeaves caps the padded tree size for the exact universal
-// prediction during auto resolution; beyond it the cheap H~ upper bound
-// is used instead, keeping resolution sub-millisecond on the mint path.
-const autoMaxExactLeaves = 512
-
 // WeightedRange is one weighted half-open range query [Lo, Hi) in a
 // workload sketch. A zero Weight means 1.
 type WeightedRange struct {
@@ -270,7 +265,6 @@ func (m *Mechanism) resolveAuto(req Request) (Request, *AutoDecision, error) {
 	preds, err := w.PredictAll(req.Epsilon, workload.PredictOptions{
 		Branchings:           []int{m.branching},
 		HierarchySensitivity: hierSens,
-		MaxExactLeaves:       autoMaxExactLeaves,
 	})
 	if err != nil {
 		return Request{}, nil, fmt.Errorf("%w: %v", ErrBadSketch, err)

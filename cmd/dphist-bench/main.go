@@ -375,10 +375,17 @@ type servingBaseline struct {
 	Rows        []servingRow `json:"rows"`
 }
 
-// timeBatches runs the warm-up plus timed batch loop and reports one
-// row. Allocations are measured from the runtime's monotonic Mallocs
-// counter on this goroutine's world, so the figure includes the result
-// slices the Store path allocates per batch.
+// minTimedWindow is the shortest window a timeBatches row may measure,
+// like testing.B's benchtime: rows whose batches finish in a few
+// milliseconds repeat rounds until the window fills, so one scheduler
+// stall cannot move a row past the compare gate.
+const minTimedWindow = 500 * time.Millisecond
+
+// timeBatches runs the warm-up plus timed rounds of batches, repeating
+// rounds until minTimedWindow has elapsed, and reports one row over
+// every round. Allocations are measured from the runtime's monotonic
+// Mallocs counter on this goroutine's world, so the figure includes the
+// result slices the Store path allocates per batch.
 func timeBatches(experiment, release string, domain, batchSize, batches int, query func() error) servingRow {
 	if err := query(); err != nil { // warm up
 		fatalf("%v", err)
@@ -387,13 +394,19 @@ func timeBatches(experiment, release string, domain, batchSize, batches int, que
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	startTime := time.Now()
-	for b := 0; b < batches; b++ {
-		if err := query(); err != nil {
-			fatalf("%v", err)
+	var elapsed time.Duration
+	rounds := 0
+	for elapsed < minTimedWindow {
+		for b := 0; b < batches; b++ {
+			if err := query(); err != nil {
+				fatalf("%v", err)
+			}
 		}
+		rounds++
+		elapsed = time.Since(startTime)
 	}
-	elapsed := time.Since(startTime)
 	runtime.ReadMemStats(&after)
+	batches *= rounds
 	queries := batches * batchSize
 	return servingRow{
 		Experiment:      experiment,

@@ -76,11 +76,11 @@
 // every strategy the workload has inputs for by predicted expected
 // total squared error. Each Prediction carries a Confidence tag:
 // "exact" means a closed-form expectation of the linear mechanism
-// (laplace, wavelet, and universal up to 2048 padded leaves — beyond,
-// PredictHierarchical fails with ErrDomainTooLarge and Recommend
-// degrades to the H~ upper bound); "bound" means a one-sided figure
-// that post-processing can only improve on (the sorted strategies'
-// pre-isotonic noise cost, the hierarchy and quadtree per-node costs).
+// (laplace, wavelet, and universal on every domain, the last from the
+// paper's two inference passes at O(k log n) per query); "bound" means
+// a one-sided figure that post-processing can only improve on (the
+// sorted strategies' pre-isotonic noise cost, the hierarchy and quadtree
+// per-node costs).
 // Predictions describe the un-rounded, non-clamped mechanism; rounding
 // adds at most 1/4 per cell.
 //

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 
@@ -47,13 +48,7 @@ func InferTree(t *htree.Tree, htilde []float64) []float64 {
 	// visits every child before its parent.
 	leafStart := t.LeafStart()
 	copy(z[leafStart:], htilde[leafStart:])
-	// Precompute per-depth weights: all nodes at one depth share a height.
-	alpha := make([]float64, t.Height()+1) // indexed by paper height l
-	for l := 2; l <= t.Height(); l++ {
-		kl := math.Pow(k, float64(l))
-		klm1 := math.Pow(k, float64(l-1))
-		alpha[l] = (kl - klm1) / (kl - 1)
-	}
+	alpha := inferenceWeights(t)
 	for v := leafStart - 1; v >= 0; v-- {
 		lo, hi := t.Children(v)
 		sum := 0.0
@@ -78,6 +73,105 @@ func InferTree(t *htree.Tree, htilde []float64) []float64 {
 		}
 	}
 	return h
+}
+
+// inferenceWeights returns InferTree's bottom-up weights indexed by the
+// paper's height l: alpha_l = (k^l - k^(l-1))/(k^l - 1) is the share a
+// height-l node's own noisy count gets against the sum of its children's
+// estimates. Every node at one depth shares a height, so one weight per
+// level suffices; entries 0 and 1 are unused.
+func inferenceWeights(t *htree.Tree) []float64 {
+	k := float64(t.K())
+	alpha := make([]float64, t.Height()+1)
+	for l := 2; l <= t.Height(); l++ {
+		kl := math.Pow(k, float64(l))
+		klm1 := math.Pow(k, float64(l-1))
+		alpha[l] = (kl - klm1) / (kl - 1)
+	}
+	return alpha
+}
+
+// RangeVariance computes the variance of H-bar's answer to a range in
+// units of the per-node noise variance: c^T (A^T A)^{-1} c for the
+// range's leaf indicator c, with A the tree's design matrix
+// (TreeDesignMatrix). Times 2*(ell/eps)^2 it is the range's expected
+// squared error after inference (Theorem 4 via Gauss-Markov).
+//
+// It runs InferTree's two passes on the input y~ that is c on the leaf
+// level and zero elsewhere. Then A^T y~ = c, so the inferred leaves are
+// (A^T A)^{-1} c and their sum over the range is the quadratic form.
+// Only the at most two nodes per level that straddle an endpoint are
+// visited, because the passes are known in closed form everywhere else:
+//
+//   - a subtree disjoint from the range has z = 0 and no range leaves;
+//   - a fully covered subtree of height l has z = F_l, with F_1 = 1 and
+//     F_l = (1 - alpha_l) * k * F_(l-1), and its range leaves sum to its
+//     root's final estimate (the result is consistent);
+//   - the top-down pass's sum over a subtree's range leaves is affine in
+//     the subtree root's final estimate h: a*h + b.
+//
+// One recursion returns (z, a, b) per straddling node, so Range costs
+// O(k log n) and allocates nothing. A RangeVariance only reads its
+// constants and is safe for concurrent use.
+type RangeVariance struct {
+	k, height, leaves int
+	alpha             []float64 // InferTree's weights, by height
+	full              []float64 // F_l: z of a fully covered subtree, by height
+}
+
+// NewRangeVariance precomputes the per-height constants of t.
+func NewRangeVariance(t *htree.Tree) *RangeVariance {
+	alpha := inferenceWeights(t)
+	full := make([]float64, t.Height()+1)
+	full[1] = 1
+	for l := 2; l <= t.Height(); l++ {
+		full[l] = (1 - alpha[l]) * float64(t.K()) * full[l-1]
+	}
+	return &RangeVariance{k: t.K(), height: t.Height(), leaves: t.NumLeaves(), alpha: alpha, full: full}
+}
+
+// Range returns c^T (A^T A)^{-1} c for the leaf indicator c of the
+// half-open range [lo, hi) in leaf coordinates. It panics if the range
+// is empty or out of bounds.
+func (p *RangeVariance) Range(lo, hi int) float64 {
+	if lo < 0 || hi > p.leaves || lo >= hi {
+		panic(fmt.Sprintf("core: bad range [%d,%d) for %d leaves", lo, hi, p.leaves))
+	}
+	if lo == 0 && hi == p.leaves {
+		return p.full[p.height]
+	}
+	// The top-down pass starts from h[root] = z[root].
+	z, a, b := p.walk(0, p.leaves, p.height, lo, hi)
+	return a*z + b
+}
+
+// walk runs both passes over the height-l subtree covering
+// [start, start+size), which straddles an endpoint of [lo, hi). It
+// returns the subtree root's bottom-up estimate z and the coefficients
+// of the range-leaf sum a*h + b in the root's final estimate h. Each
+// child c receives h_c = z_c + (h - sum z)/k, so summing the children's
+// a_c*h_c + b_c gives a = sum a_c / k and
+// b = sum (a_c*z_c + b_c) - (sum a_c)(sum z)/k.
+func (p *RangeVariance) walk(start, size, l, lo, hi int) (z, a, b float64) {
+	child := size / p.k
+	var sumZ, sumA, sumB float64
+	for c := start; c < start+size; c += child {
+		switch {
+		case c+child <= lo || c >= hi:
+			// Disjoint: contributes nothing.
+		case lo <= c && c+child <= hi:
+			sumZ += p.full[l-1]
+			sumA++
+			sumB += p.full[l-1]
+		default:
+			cz, ca, cb := p.walk(c, child, l-1, lo, hi)
+			sumZ += cz
+			sumA += ca
+			sumB += ca*cz + cb
+		}
+	}
+	k := float64(p.k)
+	return (1 - p.alpha[l]) * sumZ, sumA / k, sumB - sumA*sumZ/k
 }
 
 // ZeroNegativeSubtrees applies the Section 4.2 sparsity heuristic in

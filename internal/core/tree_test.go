@@ -266,3 +266,75 @@ func sqDist(a, b []float64) float64 {
 	}
 	return s
 }
+
+// denseRangeVariance is the O(nodes) form of RangeVariance.Range: one
+// InferTree call on the input that is the range's leaf indicator c on
+// the leaf level and zero elsewhere returns (A^T A)^{-1} c on the
+// leaves, whose sum over the range is c^T (A^T A)^{-1} c.
+func denseRangeVariance(tr *htree.Tree, lo, hi int) float64 {
+	y := make([]float64, tr.NumNodes())
+	for i := lo; i < hi; i++ {
+		y[tr.LeafIndex(i)] = 1
+	}
+	h := InferTree(tr, y)
+	sum := 0.0
+	for i := lo; i < hi; i++ {
+		sum += h[tr.LeafIndex(i)]
+	}
+	return sum
+}
+
+// The boundary walk must agree with the full two-pass inference on
+// trees past the dense Cholesky oracle's reach (1024 to 4096 leaves).
+func TestRangeVarianceMatchesDenseInference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(20, 10))
+	for _, cfg := range []struct{ k, domain int }{{2, 1024}, {2, 3000}, {2, 4096}, {4, 1500}, {16, 4096}} {
+		tr := htree.MustNew(cfg.k, cfg.domain)
+		v := NewRangeVariance(tr)
+		ranges := [][2]int{{0, cfg.domain}, {0, 1}, {cfg.domain - 1, cfg.domain}, {0, tr.NumLeaves()}}
+		for i := 0; i < 16; i++ {
+			lo := rng.IntN(cfg.domain)
+			ranges = append(ranges, [2]int{lo, lo + 1 + rng.IntN(cfg.domain-lo)})
+		}
+		for _, r := range ranges {
+			got, want := v.Range(r[0], r[1]), denseRangeVariance(tr, r[0], r[1])
+			if math.Abs(got-want) > 1e-9*want {
+				t.Fatalf("k=%d domain %d range %v: walk %v, dense inference %v", cfg.k, cfg.domain, r, got, want)
+			}
+		}
+	}
+}
+
+func TestRangeVariancePanicsOnBadRange(t *testing.T) {
+	v := NewRangeVariance(htree.MustNew(2, 8))
+	for _, r := range [][2]int{{-1, 2}, {0, 9}, {3, 3}, {5, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("range %v accepted", r)
+				}
+			}()
+			v.Range(r[0], r[1])
+		}()
+	}
+}
+
+// FuzzRangeVariance compares the boundary walk with the dense one-
+// InferTree form on arbitrary branching factors, domains and ranges.
+func FuzzRangeVariance(f *testing.F) {
+	f.Add(uint8(0), uint16(3), uint16(1), uint16(1))
+	f.Add(uint8(1), uint16(26), uint16(4), uint16(17))
+	f.Add(uint8(14), uint16(4095), uint16(0), uint16(4095))
+	f.Add(uint8(2), uint16(999), uint16(998), uint16(0))
+	f.Fuzz(func(t *testing.T, kb uint8, nb, lob, hib uint16) {
+		k := 2 + int(kb)%15
+		n := 1 + int(nb)%4096
+		lo := int(lob) % n
+		hi := lo + 1 + int(hib)%(n-lo)
+		tr := htree.MustNew(k, n)
+		got, want := NewRangeVariance(tr).Range(lo, hi), denseRangeVariance(tr, lo, hi)
+		if math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("k=%d domain %d range [%d,%d): walk %v, dense inference %v", k, n, lo, hi, got, want)
+		}
+	})
+}

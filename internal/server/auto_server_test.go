@@ -117,19 +117,8 @@ func TestAutoBadSketchOverHTTP(t *testing.T) {
 }
 
 func TestSketchErrorStatusMapping(t *testing.T) {
-	if got := sketchErrorStatus(dphist.ErrDomainTooLarge); got != http.StatusUnprocessableEntity {
-		t.Fatalf("ErrDomainTooLarge -> %d", got)
-	}
-	if got := sketchErrorStatus(dphist.ErrBadSketch); got != http.StatusBadRequest {
-		t.Fatalf("ErrBadSketch -> %d", got)
-	}
 	var s Server
 	rec := httptest.NewRecorder()
-	s.writeReleaseError(rec, dphist.ErrDomainTooLarge)
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("writeReleaseError(ErrDomainTooLarge) = %d", rec.Code)
-	}
-	rec = httptest.NewRecorder()
 	s.writeReleaseError(rec, dphist.ErrBadSketch)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("writeReleaseError(ErrBadSketch) = %d", rec.Code)

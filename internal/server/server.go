@@ -529,22 +529,28 @@ type budgetResponse struct {
 }
 
 func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request, ns string) {
-	// A read must not bring a namespace into being: probing arbitrary
-	// names would otherwise grow server state without bound. Absent
-	// namespaces report the untouched default budget.
-	if ns != dphist.DefaultNamespace && !s.store.HasNamespace(ns) {
+	var acct *dphist.Accountant
+	if ns == dphist.DefaultNamespace {
+		sess, err := s.session(ns)
+		if err != nil {
+			s.writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+			return
+		}
+		acct = sess.Accountant()
+	} else if a, ok := s.store.LookupAccountant(ns); ok {
+		// Every other namespace's session charges the store's accountant.
+		acct = a
+	} else {
+		// A read must not bring a namespace into being: probing arbitrary
+		// names would otherwise grow server state without bound. A
+		// namespace without an accountant has spent nothing, whether or
+		// not it holds releases, so the lookup alone answers it.
 		total := s.store.Budget()
 		s.writeJSON(w, http.StatusOK, budgetResponse{
 			Namespace: ns, Total: total, Spent: 0, Remaining: total,
 		})
 		return
 	}
-	sess, err := s.session(ns)
-	if err != nil {
-		s.writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	acct := sess.Accountant()
 	s.writeJSON(w, http.StatusOK, budgetResponse{
 		Namespace: ns,
 		Total:     acct.Total(),
@@ -646,7 +652,7 @@ func (s *Server) buildRequest(strategyName, legacyTask string, eps float64, sket
 		// Resolution re-runs these checks; validating here turns a bad
 		// sketch into a 4xx before a session or budget is touched.
 		if err := request.Validate(); err != nil {
-			return dphist.Request{}, 0, sketchErrorStatus(err), err.Error()
+			return dphist.Request{}, 0, http.StatusBadRequest, err.Error()
 		}
 		return request, strategy, 0, ""
 	}
@@ -661,21 +667,10 @@ func (s *Server) buildRequest(strategyName, legacyTask string, eps float64, sket
 	return request, strategy, 0, ""
 }
 
-// sketchErrorStatus maps an auto-validation failure onto a client
-// status: domains too large for exact prediction are unprocessable
-// content, everything else a plain bad request.
-func sketchErrorStatus(err error) int {
-	if errors.Is(err, dphist.ErrDomainTooLarge) {
-		return http.StatusUnprocessableEntity
-	}
-	return http.StatusBadRequest
-}
-
 // writeReleaseError maps a refused or failed mint onto a status code:
 // budget exhaustion is the analyst's problem (429), a read-only replica
 // is a routing problem (403 — mint on the primary), a bad workload
-// sketch (400) or a domain too large for exact prediction (422) the
-// request's, everything else the server's (500).
+// sketch (400) the request's, everything else the server's (500).
 func (s *Server) writeReleaseError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
@@ -683,8 +678,6 @@ func (s *Server) writeReleaseError(w http.ResponseWriter, err error) {
 		status = http.StatusTooManyRequests
 	case errors.Is(err, dphist.ErrReadOnly):
 		status = http.StatusForbidden
-	case errors.Is(err, dphist.ErrDomainTooLarge):
-		status = http.StatusUnprocessableEntity
 	case errors.Is(err, dphist.ErrBadSketch):
 		status = http.StatusBadRequest
 	}

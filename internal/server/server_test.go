@@ -715,6 +715,50 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// Budget probes are unauthenticated reads: a namespace with no budget
+// state, whether absent or holding releases stored without a charge,
+// answers the untouched default and gains neither an accountant nor a
+// session.
+func TestBudgetProbesCreateNoState(t *testing.T) {
+	s, err := New(Config{Counts: []float64{2, 0, 10, 2, 5, 5, 5, 5}, Budget: 2.0, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := dphist.MustNew(dphist.WithSeed(3)).LaplaceHistogram([]float64{1, 2, 3, 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.store.Namespace("stored-only").Put("r", rel); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, ns := range []string{"ghost-1", "ghost-2", "stored-only"} {
+		resp, err := http.Get(ts.URL + "/v1/ns/" + ns + "/budget")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b budgetResponse
+		err = json.NewDecoder(resp.Body).Decode(&b)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (budgetResponse{Namespace: ns, Total: 2, Spent: 0, Remaining: 2}); resp.StatusCode != http.StatusOK || b != want {
+			t.Fatalf("%s budget: %d %+v, want %+v", ns, resp.StatusCode, b, want)
+		}
+		if _, ok := s.store.LookupAccountant(ns); ok {
+			t.Fatalf("budget probe of %s created an accountant", ns)
+		}
+	}
+	s.sessMu.Lock()
+	sessions := len(s.sessions)
+	s.sessMu.Unlock()
+	if sessions != 0 {
+		t.Fatalf("budget probes opened %d sessions", sessions)
+	}
+}
+
 // Queries to namespaces that do not exist are unauthenticated input: each
 // must answer 404 without scanning the store or caching a view. A view
 // is cached only once a query through it finds a live release.
@@ -744,7 +788,7 @@ func TestAbsentNamespaceQueriesCacheNothing(t *testing.T) {
 	if resp, body := postJSON(t, ts, "/v1/ns/ghost-3/releases", `{"name":"r","strategy":"universal","epsilon":5}`); resp.StatusCode == http.StatusOK {
 		t.Fatalf("overdrawn mint accepted: %s", body)
 	}
-	if !s.store.HasNamespace("ghost-3") {
+	if _, ok := s.store.LookupAccountant("ghost-3"); !ok {
 		t.Fatal("refused mint left no budget state")
 	}
 	if resp, body := postJSON(t, ts, "/v1/ns/ghost-3/query", query); resp.StatusCode != http.StatusNotFound {

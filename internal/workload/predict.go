@@ -1,14 +1,12 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"github.com/dphist/dphist/internal/core"
 	"github.com/dphist/dphist/internal/histo2d"
-	"github.com/dphist/dphist/internal/htree"
 )
 
 // This file extends the advisor's analytic error model from the original
@@ -18,8 +16,7 @@ import (
 //
 //   - laplace, wavelet, universal: closed-form expectations of the linear
 //     mechanism ("exact"). The universal prediction is the H-bar OLS
-//     variance when the padded tree is small enough, else the H~ upper
-//     bound ("bound").
+//     variance on every domain.
 //   - unattributed, degree_sequence: the sorted query's pre-inference
 //     noise cost ("bound"). The exact post-isotonic error depends on the
 //     data's level-set structure (Theorem 2) and is not computable
@@ -227,11 +224,6 @@ type PredictOptions struct {
 	// HierarchySensitivity, when >= 1, enables the custom-hierarchy
 	// strategy at that forest sensitivity.
 	HierarchySensitivity float64
-	// MaxExactLeaves caps the padded tree size for the exact universal
-	// prediction; larger trees fall back to the H~ bound. 0 means the
-	// package default. Serving paths use a low cap to keep prediction
-	// cheap on the request path.
-	MaxExactLeaves int
 }
 
 // canonicalOrder breaks exact ties deterministically: the serving
@@ -285,16 +277,12 @@ func (w *Workload) PredictAll(eps float64, opt PredictOptions) ([]Prediction, er
 		if len(branchings) == 0 {
 			branchings = []int{2}
 		}
-		maxLeaves := opt.MaxExactLeaves
-		if maxLeaves <= 0 || maxLeaves > maxExactLeaves {
-			maxLeaves = maxExactLeaves
-		}
 		for _, k := range branchings {
-			p, err := w.predictUniversal(k, eps, maxLeaves)
+			e, err := w.ErrorHBar(k, eps)
 			if err != nil {
 				return nil, err
 			}
-			preds = append(preds, p)
+			preds = append(preds, Prediction{Strategy: StrategyUniversal, Branching: k, Error: e, Confidence: ConfidenceExact})
 		}
 		preds = append(preds,
 			Prediction{Strategy: StrategyLaplace, Error: w.ErrorLaplace(eps), Confidence: ConfidenceExact},
@@ -319,28 +307,4 @@ func (w *Workload) PredictAll(eps float64, opt PredictOptions) ([]Prediction, er
 	}
 	Rank(preds)
 	return preds, nil
-}
-
-// predictUniversal predicts the universal (H-bar) strategy at branching
-// k: the exact OLS variance when the padded tree has at most maxLeaves
-// leaves, else the H~ upper bound (Theorem 4(ii)).
-func (w *Workload) predictUniversal(k int, eps float64, maxLeaves int) (Prediction, error) {
-	tree, err := htree.New(k, w.n)
-	if err != nil {
-		return Prediction{}, err
-	}
-	if tree.NumLeaves() <= maxLeaves {
-		e, err := w.ErrorHBar(k, eps)
-		if err == nil {
-			return Prediction{Strategy: StrategyUniversal, Branching: k, Error: e, Confidence: ConfidenceExact}, nil
-		}
-		if !errors.Is(err, ErrDomainTooLarge) {
-			return Prediction{}, err
-		}
-	}
-	e, err := w.ErrorHTilde(k, eps)
-	if err != nil {
-		return Prediction{}, err
-	}
-	return Prediction{Strategy: StrategyUniversal, Branching: k, Error: e, Confidence: ConfidenceBound}, nil
 }

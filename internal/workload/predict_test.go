@@ -142,39 +142,6 @@ func TestPredictAllRequiresQueries(t *testing.T) {
 	}
 }
 
-func TestPredictAllExactLeavesCap(t *testing.T) {
-	w, err := New(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Add(0, 1024, 1); err != nil {
-		t.Fatal(err)
-	}
-	capped, err := w.PredictAll(1.0, PredictOptions{MaxExactLeaves: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncapped, err := w.PredictAll(1.0, PredictOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	find := func(preds []Prediction) Prediction {
-		for _, p := range preds {
-			if p.Strategy == StrategyUniversal {
-				return p
-			}
-		}
-		t.Fatal("no universal prediction")
-		return Prediction{}
-	}
-	if p := find(capped); p.Confidence != ConfidenceBound {
-		t.Fatalf("capped universal confidence %q", p.Confidence)
-	}
-	if p := find(uncapped); p.Confidence != ConfidenceExact {
-		t.Fatalf("uncapped universal confidence %q", p.Confidence)
-	}
-}
-
 func TestErrorHierarchyRejectsBadSensitivity(t *testing.T) {
 	w, err := New(4)
 	if err != nil {

@@ -12,27 +12,19 @@
 //   - H-bar: the exact OLS variance. With A the 0/1 tree design matrix
 //     and q the query's leaf indicator, the inferred answer's variance
 //     is sigma^2 * q^T (A^T A)^{-1} q with sigma^2 = 2*(ell/eps)^2
-//     (Gauss-Markov; Theorem 4). One Cholesky factorization per tree is
-//     shared across all queries, so prediction is exact but limited to
-//     modest domains (leaves <= ~2048).
+//     (Gauss-Markov; Theorem 4). core.RangeVariance evaluates the
+//     quadratic form with the paper's two inference passes (Theorem 3),
+//     visiting only the nodes that straddle the query's endpoints, so
+//     prediction is exact on every domain at O(k log n) per query.
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"github.com/dphist/dphist/internal/core"
 	"github.com/dphist/dphist/internal/htree"
-	"github.com/dphist/dphist/internal/linalg"
 )
-
-// ErrDomainTooLarge reports that an exact prediction was requested over a
-// domain whose closed-form computation is infeasible (the H-bar Cholesky
-// factorization is cubic in the leaf count). Callers that serve
-// predictions over a network should map it to an unprocessable-input
-// status rather than an internal error.
-var ErrDomainTooLarge = errors.New("workload: domain too large for exact prediction")
 
 // Query is one weighted half-open range query [Lo, Hi).
 type Query struct {
@@ -151,62 +143,21 @@ func (w *Workload) ErrorHTilde(k int, eps float64) (float64, error) {
 	return total, nil
 }
 
-// maxExactLeaves bounds the tree size for exact H-bar prediction; the
-// Cholesky factorization is O(leaves^3).
-const maxExactLeaves = 2048
-
 // ErrorHBar returns the exact expected weighted total squared error of
 // the inferred hierarchy H-bar with branching factor k: the OLS variance
-// of each query under homoscedastic node noise. Limited to domains whose
-// padded tree has at most 2048 leaves.
+// of each query under homoscedastic node noise (core.RangeVariance).
 func (w *Workload) ErrorHBar(k int, eps float64) (float64, error) {
 	tree, err := htree.New(k, w.n)
 	if err != nil {
 		return 0, err
 	}
-	if tree.NumLeaves() > maxExactLeaves {
-		return 0, fmt.Errorf("%w: exact H-bar prediction limited to %d leaves, tree has %d",
-			ErrDomainTooLarge, maxExactLeaves, tree.NumLeaves())
-	}
 	sigma2 := core.NoiseVariance(core.SensitivityH(tree), eps)
-	a := core.TreeDesignMatrix(tree)
-	ata := a.T().Mul(a)
-	chol, err := linalg.Cholesky(ata)
-	if err != nil {
-		return 0, fmt.Errorf("workload: %w", err)
-	}
+	v := core.NewRangeVariance(tree)
 	total := 0.0
-	leaves := tree.NumLeaves()
 	for _, q := range w.queries {
-		// Query indicator over leaves.
-		c := make([]float64, leaves)
-		for i := q.Lo; i < q.Hi; i++ {
-			c[i] = 1
-		}
-		// Var = sigma^2 * c^T (A^T A)^{-1} c = sigma^2 * ||L^{-1} c||^2
-		// with A^T A = L L^T.
-		y := forwardSolve(chol, c)
-		norm2 := 0.0
-		for _, v := range y {
-			norm2 += v * v
-		}
-		total += q.Weight * sigma2 * norm2
+		total += q.Weight * sigma2 * v.Range(q.Lo, q.Hi)
 	}
 	return total, nil
-}
-
-// forwardSolve solves L*y = b for lower-triangular L.
-func forwardSolve(l *linalg.Matrix, b []float64) []float64 {
-	n := l.Rows
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		for j := 0; j < i; j++ {
-			sum -= l.At(i, j) * y[j]
-		}
-		y[i] = sum / l.At(i, i)
-	}
-	return y
 }
 
 // Strategy identifies a release strategy.
@@ -252,10 +203,7 @@ type Prediction struct {
 }
 
 // Recommend evaluates L~, and H~/H-bar at each candidate branching
-// factor, returning all predictions sorted by the caller's inspection
-// plus the best one. H-bar predictions fall back to H~'s upper bound
-// when the domain exceeds the exact-computation limit (H-bar is never
-// worse than H~, so the recommendation stays sound).
+// factor, returning all predictions (every one exact) plus the best one.
 func (w *Workload) Recommend(eps float64, branchings ...int) (best Prediction, all []Prediction, err error) {
 	if len(w.queries) == 0 {
 		return Prediction{}, nil, fmt.Errorf("workload: empty workload")
@@ -270,14 +218,11 @@ func (w *Workload) Recommend(eps float64, branchings ...int) (best Prediction, a
 			return Prediction{}, nil, err
 		}
 		all = append(all, Prediction{Strategy: StrategyHTilde, Branching: k, Error: ht, Confidence: ConfidenceExact})
-		hb, hbErr := w.ErrorHBar(k, eps)
-		hbConf := ConfidenceExact
-		if hbErr != nil {
-			// Domain too large for the exact computation: H~'s error is a
-			// valid upper bound for H-bar (Theorem 4(ii)).
-			hb, hbConf = ht, ConfidenceBound
+		hb, err := w.ErrorHBar(k, eps)
+		if err != nil {
+			return Prediction{}, nil, err
 		}
-		all = append(all, Prediction{Strategy: StrategyHBar, Branching: k, Error: hb, Confidence: hbConf})
+		all = append(all, Prediction{Strategy: StrategyHBar, Branching: k, Error: hb, Confidence: ConfidenceExact})
 	}
 	best = all[0]
 	for _, p := range all[1:] {

@@ -1,12 +1,15 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/dphist/dphist/internal/core"
 	"github.com/dphist/dphist/internal/htree"
 	"github.com/dphist/dphist/internal/laplace"
+	"github.com/dphist/dphist/internal/linalg"
 	"github.com/dphist/dphist/internal/stats"
 )
 
@@ -134,14 +137,6 @@ func TestErrorHBarNeverWorseThanHTilde(t *testing.T) {
 	}
 }
 
-func TestErrorHBarDomainLimit(t *testing.T) {
-	w := MustNew(4096)
-	_ = w.Add(0, 4096, 1)
-	if _, err := w.ErrorHBar(2, 1.0); err == nil {
-		t.Fatal("oversized exact computation accepted")
-	}
-}
-
 // The advisor reproduces the Figure 6 crossover: point queries favor L~,
 // wide queries favor the hierarchy.
 func TestRecommendCrossover(t *testing.T) {
@@ -182,17 +177,17 @@ func TestRecommendEmptyWorkload(t *testing.T) {
 	}
 }
 
-func TestRecommendFallsBackOnLargeDomains(t *testing.T) {
+func TestRecommendExactOnLargeDomains(t *testing.T) {
 	w := MustNew(1 << 14)
 	_ = w.Add(0, 1<<14, 1)
 	best, all, err := w.Recommend(1.0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// H-bar falls back to the H~ bound; the full-domain query is one
-	// subtree, so the hierarchy wins over L~'s 16384 unit variances.
-	if best.Strategy == StrategyLaplace {
-		t.Fatalf("full-domain query recommended laplace: %+v", all)
+	// H-bar is exact at 2^14 leaves, and the full-domain query beats L~'s
+	// 16384 unit variances.
+	if best.Strategy != StrategyHBar || best.Confidence != ConfidenceExact {
+		t.Fatalf("full-domain query recommended %+v, want exact hbar: %+v", best, all)
 	}
 }
 
@@ -203,5 +198,134 @@ func TestQueriesReturnsCopy(t *testing.T) {
 	qs[0].Weight = 99
 	if w.Queries()[0].Weight == 99 {
 		t.Fatal("Queries aliases internal state")
+	}
+}
+
+// choleskyQuadForm is the dense oracle for ErrorHBar: with A^T A = L L^T
+// for the tree's design matrix A, c^T (A^T A)^{-1} c = ||L^{-1} c||^2.
+// The indicator c is zero below lo, so the forward solve starts there.
+func choleskyQuadForm(l *linalg.Matrix, lo, hi int) float64 {
+	y := make([]float64, l.Rows)
+	norm2 := 0.0
+	for i := lo; i < l.Rows; i++ {
+		sum := 0.0
+		if i < hi {
+			sum = 1
+		}
+		for j := lo; j < i; j++ {
+			sum -= l.At(i, j) * y[j]
+		}
+		y[i] = sum / l.At(i, i)
+		norm2 += y[i] * y[i]
+	}
+	return norm2
+}
+
+// The H-bar prediction must equal the explicit OLS variance
+// sigma^2 * w * c^T (A^T A)^{-1} c from a Cholesky factorization, for
+// every domain up to 300 (padded to a power of k or not) at each
+// branching factor whose padded tree fits the dense oracle.
+func TestErrorHBarMatchesCholesky(t *testing.T) {
+	const eps = 0.7
+	rng := rand.New(rand.NewPCG(14, 3))
+	for _, k := range []int{2, 3, 4, 16} {
+		factors := make(map[int]*linalg.Matrix) // by padded leaf count
+		for n := 1; n <= 300; n++ {
+			tree := htree.MustNew(k, n)
+			if tree.NumLeaves() > 2048 {
+				continue
+			}
+			l, ok := factors[tree.NumLeaves()]
+			if !ok {
+				a := core.TreeDesignMatrix(tree)
+				var err error
+				if l, err = linalg.Cholesky(a.T().Mul(a)); err != nil {
+					t.Fatal(err)
+				}
+				factors[tree.NumLeaves()] = l
+			}
+			sigma2 := core.NoiseVariance(core.SensitivityH(tree), eps)
+			queries := []Query{{0, n, 1}, {0, 1, 1}, {n - 1, n, 1}}
+			for i := 0; i < 4; i++ {
+				lo := rng.IntN(n)
+				queries = append(queries, Query{lo, lo + 1 + rng.IntN(n-lo), 0.1 + 10*rng.Float64()})
+			}
+			for _, q := range queries {
+				w := MustNew(n)
+				if err := w.Add(q.Lo, q.Hi, q.Weight); err != nil {
+					t.Fatal(err)
+				}
+				got, err := w.ErrorHBar(k, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := q.Weight * sigma2 * choleskyQuadForm(l, q.Lo, q.Hi)
+				if math.Abs(got-want) > 1e-9*want {
+					t.Fatalf("k=%d domain %d query %+v: ErrorHBar %v, Cholesky %v", k, n, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// sizedWorkload returns the workload of m ranges drawn from a fixed
+// stream over a domain of n.
+func sizedWorkload(n, m int) *Workload {
+	rng := rand.New(rand.NewPCG(uint64(n), uint64(m)))
+	w := MustNew(n)
+	for i := 0; i < m; i++ {
+		lo := rng.IntN(n)
+		if err := w.Add(lo, lo+1+rng.IntN(n-lo), 1+rng.Float64()); err != nil {
+			panic(err)
+		}
+	}
+	return w
+}
+
+// Prediction work is bounded by the query count times the tree height:
+// a 2^20-leaf, 4096-range workload predicts universal exactly, and the
+// allocations do not grow with the number of queries.
+func TestPredictAllBoundedWork(t *testing.T) {
+	const n = 1 << 20
+	big, one := sizedWorkload(n, 4096), sizedWorkload(n, 1)
+	preds, err := big.PredictAll(0.5, PredictOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var universal *Prediction
+	for i := range preds {
+		if preds[i].Strategy == StrategyUniversal {
+			universal = &preds[i]
+		}
+	}
+	if universal == nil || universal.Confidence != ConfidenceExact || !(universal.Error > 0) {
+		t.Fatalf("universal prediction %+v, want exact", universal)
+	}
+	allocs := func(w *Workload) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := w.PredictAll(0.5, PredictOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a4096, a1 := allocs(big), allocs(one); a4096 != a1 {
+		t.Fatalf("PredictAll allocates %v times for 4096 queries, %v for 1", a4096, a1)
+	}
+}
+
+// BenchmarkPredict times PredictAll, the advisor's full ranking, at the
+// serving benchmark's sketch size on its two domains and at the sketch
+// cap on a 2^20-leaf domain.
+func BenchmarkPredict(b *testing.B) {
+	for _, c := range []struct{ n, m int }{{256, 24}, {1024, 24}, {1 << 20, 4096}} {
+		w := sizedWorkload(c.n, c.m)
+		b.Run(fmt.Sprintf("domain=%d/queries=%d", c.n, c.m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := w.PredictAll(0.5, PredictOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -312,33 +312,19 @@ func (s *Store) Namespaces() []string {
 	return out
 }
 
-// HasNamespace reports whether the namespace currently holds a live
-// release or has an instantiated budget accountant — without creating
-// either, so read-only surfaces (dashboards, probes) can answer for
-// arbitrary names while only writes bring namespaces into being. Like
-// Namespaces it scans under the shard read locks only.
-func (s *Store) HasNamespace(name string) bool {
+// LookupAccountant returns the namespace's budget accountant if one has
+// been instantiated, by a charge, a Namespace.Accountant call or
+// recovery, without creating one and without touching a shard: one map
+// read. A namespace without an accountant has spent nothing, so
+// read-only surfaces report the untouched Budget() total for it.
+func (s *Store) LookupAccountant(name string) (*Accountant, bool) {
 	if name == "" {
 		name = DefaultNamespace
 	}
 	s.acctMu.Lock()
-	_, ok := s.accts[name]
-	s.acctMu.Unlock()
-	if ok {
-		return true
-	}
-	now := s.nowIfTTL()
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for k, it := range sh.items {
-			if k.ns == name && !s.expired(it, now) {
-				sh.mu.RUnlock()
-				return true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return false
+	defer s.acctMu.Unlock()
+	a, ok := s.accts[name]
+	return a, ok
 }
 
 // Budget returns the total epsilon each namespace accountant is created
