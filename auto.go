@@ -303,10 +303,6 @@ type autoStamp struct {
 // setAutoDecision stamps the decision; called once at mint or decode.
 func (a *autoStamp) setAutoDecision(d *AutoDecision) { a.auto = d }
 
-// wireAutoDecision returns the pointer for serialization (nil when the
-// release was minted directly).
-func (a *autoStamp) wireAutoDecision() *AutoDecision { return a.auto }
-
 // Decision returns the auto-resolution decision stamped on the release
 // and true, or a zero decision and false when the release was minted
 // with an explicit strategy. The returned value shares no state with the

@@ -296,6 +296,16 @@
 // json.Encoder byte for byte. The one remaining allocation is the
 // Content-Type header write inside net/http.
 //
+// The mint path formats each release once per destination with
+// AppendRelease, the one encoder behind every MarshalJSON: the server
+// splices its bytes into the mint reply, and a durable store writes
+// them unchanged into the journal put record (encoding before it takes
+// any store lock) and into snapshots. Nothing re-scans them, and the
+// replication stream ships each journal record through the same record
+// encoder. Whole-number counts, which rounded releases carry, format
+// through an integer fast path. All of these writers share the
+// internal/jsonw primitives and produce exactly json.Marshal's bytes.
+//
 // cmd/dphist-loadgen measures that path under production-shaped load:
 // a bounded worker pool over real sockets, Zipf popularity across
 // stored releases, correlated range endpoints, and a weighted

@@ -13,16 +13,27 @@ package dphist
 // carries {"version": 2, "strategy": "...", "epsilon": ...} alongside
 // the strategy-specific fields, so DecodeRelease can reconstruct the
 // right concrete type without out-of-band knowledge.
+//
+// Encoding has one implementation, AppendRelease: every MarshalJSON
+// calls it, and it appends the same bytes json.Marshal of the matching
+// *Wire struct would, using the internal/jsonw primitives. The server
+// writes those bytes unchanged into the HTTP reply, the journal put
+// record and the snapshot, and never scans them again. The *Wire
+// structs remain the decoding path and the byte-for-byte oracle the
+// encoder is tested against.
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 
 	"github.com/dphist/dphist/internal/core"
 	"github.com/dphist/dphist/internal/histo2d"
 	"github.com/dphist/dphist/internal/htree"
+	"github.com/dphist/dphist/internal/jsonw"
 	"github.com/dphist/dphist/internal/plan"
 )
 
@@ -73,6 +84,155 @@ func DecodeRelease(data []byte) (Release, error) {
 	return rel, nil
 }
 
+// AppendRelease appends the v2 wire encoding of r to dst and returns the
+// extended buffer. Its output is byte-identical to json.Marshal(r): the
+// seven release types are formatted directly, in one pass, into a buffer
+// presized from their vector lengths; any other Release implementation
+// goes through json.Marshal, which validates its output. On error the
+// returned buffer's contents are unspecified.
+func AppendRelease(dst []byte, r Release) ([]byte, error) {
+	// Exact concrete types only, as in releasePlan: a wrapper embedding a
+	// release may override MarshalJSON, and json.Marshal honours that.
+	switch rel := r.(type) {
+	case *UniversalRelease:
+		if rel != nil {
+			return appendReleaseWire(dst, StrategyUniversal, rel.eps, rel.auto,
+				intField(`"k":`, rel.tree.K()),
+				intField(`"domain":`, rel.tree.Domain()),
+				floatsField(`"noisy":`, rel.noisy),
+				floatsField(`"inferred":`, rel.inferred),
+				floatsField(`"post":`, rel.post))
+		}
+	case *Universal2DRelease:
+		if rel != nil {
+			return appendReleaseWire(dst, StrategyUniversal2D, rel.eps, rel.auto,
+				intField(`"width":`, rel.grid.Width()),
+				intField(`"height":`, rel.grid.Height()),
+				floatsField(`"noisy":`, rel.noisy),
+				floatsField(`"inferred":`, rel.inferred),
+				floatsField(`"post":`, rel.post))
+		}
+	case *UnattributedRelease:
+		if rel != nil {
+			return appendReleaseWire(dst, StrategyUnattributed, rel.eps, rel.auto,
+				floatsField(`"noisy":`, rel.Noisy),
+				floatsField(`"inferred":`, rel.Inferred),
+				floatsField(`"counts":`, rel.counts))
+		}
+	case *LaplaceRelease:
+		if rel != nil {
+			return appendReleaseWire(dst, StrategyLaplace, rel.eps, rel.auto,
+				floatsField(`"noisy":`, rel.Noisy),
+				floatsField(`"counts":`, rel.counts))
+		}
+	case *WaveletRelease:
+		if rel != nil {
+			return appendReleaseWire(dst, StrategyWavelet, rel.eps, rel.auto,
+				floatsField(`"counts":`, rel.counts))
+		}
+	case *DegreeSequenceRelease:
+		if rel != nil {
+			return appendReleaseWire(dst, StrategyDegreeSequence, rel.eps, rel.auto,
+				floatsField(`"noisy":`, rel.Noisy),
+				floatsField(`"inferred":`, rel.Inferred),
+				floatsField(`"counts":`, rel.counts))
+		}
+	case *HierarchyReleaseResult:
+		if rel != nil {
+			return appendReleaseWire(dst, StrategyHierarchy, rel.eps, rel.auto,
+				intsField(`"parent":`, rel.parent),
+				floatsField(`"noisy":`, rel.Noisy),
+				floatsField(`"inferred":`, rel.Inferred))
+		}
+	}
+	data, err := json.Marshal(r)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, data...), nil
+}
+
+// wireField is one strategy-specific member of a release's wire object:
+// an integer, an integer vector or a float vector, keyed by its JSON
+// name with the quotes and colon included.
+type wireField struct {
+	key    string
+	num    int
+	ints   []int
+	floats []float64
+	kind   uint8
+}
+
+const (
+	wireInt uint8 = iota
+	wireInts
+	wireFloats
+)
+
+func intField(key string, n int) wireField { return wireField{key: key, num: n, kind: wireInt} }
+
+func intsField(key string, v []int) wireField { return wireField{key: key, ints: v, kind: wireInts} }
+
+func floatsField(key string, v []float64) wireField {
+	return wireField{key: key, floats: v, kind: wireFloats}
+}
+
+// appendReleaseWire appends one release's wire object: the shared header
+// (version, strategy, epsilon, and the auto decision when present), then
+// fields in the order the strategy's *Wire struct declares them. The
+// buffer grows once up front, by 20 bytes per vector element: a noisy
+// count's shortest form plus its comma rarely exceeds that, and a
+// rounded count takes a few bytes, so one allocation usually covers the
+// whole object without reserving the 25-byte worst case. A growth is at
+// least the buffer's own capacity, so a caller appending many releases
+// into one buffer, as a snapshot does, copies in doubling steps rather
+// than append's 1.25x ones.
+func appendReleaseWire(dst []byte, strategy Strategy, eps float64, auto *AutoDecision, fields ...wireField) ([]byte, error) {
+	var autoJSON []byte
+	if auto != nil {
+		var err error
+		if autoJSON, err = json.Marshal(auto); err != nil {
+			return dst, err
+		}
+	}
+	size := 96 + len(autoJSON)
+	for _, f := range fields {
+		size += len(f.key) + 20*(len(f.ints)+len(f.floats)) + 20
+	}
+	b := dst
+	if cap(b)-len(b) < size {
+		b = slices.Grow(b, max(size, cap(b)))
+	}
+	b = append(b, `{"version":`...)
+	b = strconv.AppendInt(b, WireVersion, 10)
+	b = append(b, `,"strategy":`...)
+	b = jsonw.AppendString(b, strategy.String())
+	b = append(b, `,"epsilon":`...)
+	b, err := jsonw.AppendFloat(b, eps)
+	if err != nil {
+		return b, err
+	}
+	if autoJSON != nil {
+		b = append(b, `,"auto":`...)
+		b = append(b, autoJSON...)
+	}
+	for _, f := range fields {
+		b = append(b, ',')
+		b = append(b, f.key...)
+		switch f.kind {
+		case wireInt:
+			b = strconv.AppendInt(b, int64(f.num), 10)
+		case wireInts:
+			b = jsonw.AppendInts(b, f.ints)
+		case wireFloats:
+			if b, err = jsonw.AppendFloats(b, f.floats); err != nil {
+				return b, err
+			}
+		}
+	}
+	return append(b, '}'), nil
+}
+
 // checkHeader validates the shared envelope fields of a decoded wire
 // struct against the expected strategy.
 func checkHeader(version int, strategy string, want Strategy, eps float64) error {
@@ -103,19 +263,7 @@ type universalWire struct {
 
 // MarshalJSON encodes the release, including the raw noisy tree so
 // baseline comparisons survive the round trip.
-func (r *UniversalRelease) MarshalJSON() ([]byte, error) {
-	return json.Marshal(universalWire{
-		Version:  WireVersion,
-		Strategy: r.Strategy().String(),
-		Epsilon:  r.eps,
-		Auto:     r.wireAutoDecision(),
-		K:        r.tree.K(),
-		Domain:   r.tree.Domain(),
-		Noisy:    r.noisy,
-		Inferred: r.inferred,
-		Post:     r.post,
-	})
-}
+func (r *UniversalRelease) MarshalJSON() ([]byte, error) { return AppendRelease(nil, r) }
 
 // UnmarshalJSON decodes a release produced by MarshalJSON, validating
 // the tree shape against the payload.
@@ -159,19 +307,7 @@ type universal2DWire struct {
 
 // MarshalJSON encodes the release, including the raw noisy quadtree so
 // baseline comparisons survive the round trip.
-func (r *Universal2DRelease) MarshalJSON() ([]byte, error) {
-	return json.Marshal(universal2DWire{
-		Version:  WireVersion,
-		Strategy: r.Strategy().String(),
-		Epsilon:  r.eps,
-		Auto:     r.wireAutoDecision(),
-		Width:    r.grid.Width(),
-		Height:   r.grid.Height(),
-		Noisy:    r.noisy,
-		Inferred: r.inferred,
-		Post:     r.post,
-	})
-}
+func (r *Universal2DRelease) MarshalJSON() ([]byte, error) { return AppendRelease(nil, r) }
 
 // UnmarshalJSON decodes a release produced by MarshalJSON, rebuilding
 // the quadtree shape from the dimensions and validating the payload
@@ -211,17 +347,7 @@ type unattributedWire struct {
 }
 
 // MarshalJSON encodes the release.
-func (r *UnattributedRelease) MarshalJSON() ([]byte, error) {
-	return json.Marshal(unattributedWire{
-		Version:  WireVersion,
-		Strategy: r.Strategy().String(),
-		Epsilon:  r.eps,
-		Auto:     r.wireAutoDecision(),
-		Noisy:    r.Noisy,
-		Inferred: r.Inferred,
-		Counts:   r.counts,
-	})
-}
+func (r *UnattributedRelease) MarshalJSON() ([]byte, error) { return AppendRelease(nil, r) }
 
 // UnmarshalJSON decodes a release produced by MarshalJSON.
 func (r *UnattributedRelease) UnmarshalJSON(data []byte) error {
@@ -268,16 +394,7 @@ type laplaceWire struct {
 }
 
 // MarshalJSON encodes the release.
-func (r *LaplaceRelease) MarshalJSON() ([]byte, error) {
-	return json.Marshal(laplaceWire{
-		Version:  WireVersion,
-		Strategy: r.Strategy().String(),
-		Epsilon:  r.eps,
-		Auto:     r.wireAutoDecision(),
-		Noisy:    r.Noisy,
-		Counts:   r.counts,
-	})
-}
+func (r *LaplaceRelease) MarshalJSON() ([]byte, error) { return AppendRelease(nil, r) }
 
 // UnmarshalJSON decodes a release produced by MarshalJSON.
 func (r *LaplaceRelease) UnmarshalJSON(data []byte) error {
@@ -310,15 +427,7 @@ type waveletWire struct {
 }
 
 // MarshalJSON encodes the release.
-func (r *WaveletRelease) MarshalJSON() ([]byte, error) {
-	return json.Marshal(waveletWire{
-		Version:  WireVersion,
-		Strategy: r.Strategy().String(),
-		Epsilon:  r.eps,
-		Auto:     r.wireAutoDecision(),
-		Counts:   r.counts,
-	})
-}
+func (r *WaveletRelease) MarshalJSON() ([]byte, error) { return AppendRelease(nil, r) }
 
 // UnmarshalJSON decodes a release produced by MarshalJSON.
 func (r *WaveletRelease) UnmarshalJSON(data []byte) error {
@@ -351,17 +460,7 @@ type degreeSequenceWire struct {
 }
 
 // MarshalJSON encodes the release.
-func (r *DegreeSequenceRelease) MarshalJSON() ([]byte, error) {
-	return json.Marshal(degreeSequenceWire{
-		Version:  WireVersion,
-		Strategy: r.Strategy().String(),
-		Epsilon:  r.eps,
-		Auto:     r.wireAutoDecision(),
-		Noisy:    r.Noisy,
-		Inferred: r.Inferred,
-		Counts:   r.counts,
-	})
-}
+func (r *DegreeSequenceRelease) MarshalJSON() ([]byte, error) { return AppendRelease(nil, r) }
 
 // UnmarshalJSON decodes a release produced by MarshalJSON.
 func (r *DegreeSequenceRelease) UnmarshalJSON(data []byte) error {
@@ -394,17 +493,7 @@ type hierarchyWire struct {
 }
 
 // MarshalJSON encodes the release.
-func (r *HierarchyReleaseResult) MarshalJSON() ([]byte, error) {
-	return json.Marshal(hierarchyWire{
-		Version:  WireVersion,
-		Strategy: r.Strategy().String(),
-		Epsilon:  r.eps,
-		Auto:     r.wireAutoDecision(),
-		Parent:   r.parent,
-		Noisy:    r.Noisy,
-		Inferred: r.Inferred,
-	})
-}
+func (r *HierarchyReleaseResult) MarshalJSON() ([]byte, error) { return AppendRelease(nil, r) }
 
 // UnmarshalJSON decodes a release produced by MarshalJSON, rebuilding
 // and revalidating the constraint forest from the parent pointers.

@@ -16,6 +16,9 @@ import (
 //     re-encode and decode again to a release with the same strategy,
 //     epsilon, domain, and query answers — recovery through the journal
 //     must not drift state.
+//   - The append encoder is the reflection encoder: any payload that
+//     decodes re-encodes through AppendRelease to exactly the bytes
+//     json.Marshal writes for the release's *Wire struct.
 func FuzzDecodeRelease(f *testing.F) {
 	m := MustNew(WithSeed(3))
 	counts := []float64{2, 0, 10, 2, 5, 5, 5, 5}
@@ -57,6 +60,17 @@ func FuzzDecodeRelease(f *testing.F) {
 		re, err := json.Marshal(rel)
 		if err != nil {
 			t.Fatalf("decoded release does not re-encode: %v", err)
+		}
+		oracle, err := json.Marshal(wireOracle(t, rel))
+		if err != nil {
+			t.Fatalf("reflection oracle: %v", err)
+		}
+		appended, err := AppendRelease(nil, rel)
+		if err != nil {
+			t.Fatalf("AppendRelease: %v", err)
+		}
+		if !bytes.Equal(appended, oracle) {
+			t.Fatalf("AppendRelease diverges from the reflection oracle:\n got %s\nwant %s", appended, oracle)
 		}
 		rel2, err := DecodeRelease(re)
 		if err != nil {

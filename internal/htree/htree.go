@@ -251,6 +251,25 @@ func (t *Tree) decompose(v, lo, hi int, out *[]int) {
 	}
 }
 
+// DecomposeCount returns len(Decompose(lo, hi)) without building the
+// node list: it counts the nodes RangeSum's bottom-up walk visits, in
+// O(k log n) time and zero allocations. It panics where Decompose does.
+func (t *Tree) DecomposeCount(lo, hi int) int {
+	if lo < 0 || hi > t.leaves || lo >= hi {
+		panic(fmt.Sprintf("htree: bad range [%d,%d) for %d leaves", lo, hi, t.leaves))
+	}
+	n := 0
+	for l, r := lo, hi; l < r; l, r = l/t.k, r/t.k {
+		for ; l%t.k != 0 && l < r; l++ {
+			n++
+		}
+		for ; r%t.k != 0 && l < r; r-- {
+			n++
+		}
+	}
+	return n
+}
+
 // RangeSum answers the range count [lo, hi) from a BFS count vector by
 // summing the same minimal subtree decomposition Decompose returns, but
 // iteratively and without allocating: it walks the tree bottom-up,

@@ -279,6 +279,24 @@ func TestRangeSumMatchesDecomposition(t *testing.T) {
 	}
 }
 
+// DecomposeCount counts exactly the nodes Decompose returns, for every
+// range of every domain up to 64 leaves.
+func TestDecomposeCountMatchesDecompose(t *testing.T) {
+	for _, k := range []int{2, 3, 4, 16} {
+		for domain := 1; domain <= 64; domain++ {
+			tr := MustNew(k, domain)
+			for lo := 0; lo < tr.NumLeaves(); lo++ {
+				for hi := lo + 1; hi <= tr.NumLeaves(); hi++ {
+					if got, want := tr.DecomposeCount(lo, hi), len(tr.Decompose(lo, hi)); got != want {
+						t.Fatalf("k=%d domain=%d: DecomposeCount[%d,%d) = %d, len(Decompose) = %d",
+							k, domain, lo, hi, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRangeSumEmptyRangeIsZero(t *testing.T) {
 	tr := MustNew(3, 10)
 	counts := tr.FromLeaves([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})

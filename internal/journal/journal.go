@@ -56,8 +56,11 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
+
+	"github.com/dphist/dphist/internal/jsonw"
 )
 
 // Op is the kind of store event a record describes.
@@ -75,16 +78,25 @@ const (
 // Record is one store event. Which fields are meaningful depends on Op:
 // puts carry Name/Version/StoredAt/Payload, deletes carry Name, charges
 // carry Label/Epsilon. Namespace and Seq are set on every record.
+//
+// The JSON tags document the on-disk shape, which AppendJSON writes by
+// hand and Scan reads back through encoding/json.
 type Record struct {
-	Seq       uint64          `json:"seq"`
-	Op        Op              `json:"op"`
-	Namespace string          `json:"ns,omitempty"`
-	Name      string          `json:"name,omitempty"`
-	Version   int             `json:"version,omitempty"`
-	StoredAt  time.Time       `json:"stored_at,omitempty"`
-	Label     string          `json:"label,omitempty"`
-	Epsilon   float64         `json:"epsilon,omitempty"`
-	Payload   json.RawMessage `json:"payload,omitempty"`
+	Seq       uint64    `json:"seq"`
+	Op        Op        `json:"op"`
+	Namespace string    `json:"ns,omitempty"`
+	Name      string    `json:"name,omitempty"`
+	Version   int       `json:"version,omitempty"`
+	StoredAt  time.Time `json:"stored_at,omitempty"`
+	Label     string    `json:"label,omitempty"`
+	Epsilon   float64   `json:"epsilon,omitempty"`
+	// Payload is written into the record exactly as given, never
+	// re-validated or compacted: it is the last field, so for a payload
+	// that is compact, valid JSON with encoding/json's HTML-safe string
+	// escaping — what dphist.AppendRelease and json.Marshal produce — the
+	// encoded record equals json.Marshal(rec) byte for byte. Puts carry
+	// the release in the self-describing v2 wire format.
+	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
 // ErrCorrupt reports journal or snapshot damage that cannot be a torn
@@ -107,22 +119,68 @@ const (
 )
 
 // Marshal frames a record for appending: header (length, header CRC32,
-// payload CRC32) plus JSON payload. Exposed for tests and fuzzing;
-// Append uses it.
+// payload CRC32) plus the record's JSON, built by AppendJSON in one
+// allocation with the release payload copied in as given. Exposed for
+// tests and fuzzing; Append uses it.
 func Marshal(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+	size := headerSize + 160 + len(rec.Payload) + 6*(len(rec.Namespace)+len(rec.Name)+len(rec.Label))
+	frame, err := AppendJSON(make([]byte, headerSize, size), rec)
 	if err != nil {
 		return nil, err
 	}
+	payload := frame[headerSize:]
 	if len(payload) > MaxRecordSize {
 		return nil, fmt.Errorf("journal: record of %d bytes exceeds limit %d", len(payload), MaxRecordSize)
 	}
-	frame := make([]byte, headerSize+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[0:4]))
 	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(payload))
-	copy(frame[headerSize:], payload)
 	return frame, nil
+}
+
+// AppendJSON appends the JSON encoding of rec to dst: the bytes
+// json.Marshal(rec) produces, given a Payload of the form documented on
+// Record. Payload is copied, not scanned. A StoredAt RFC 3339 cannot
+// express, or a NaN or infinite Epsilon, fails as it fails json.Marshal.
+// The replication stream writes each shipped record with it.
+func AppendJSON(dst []byte, rec Record) ([]byte, error) {
+	b := append(dst, `{"seq":`...)
+	b = strconv.AppendUint(b, rec.Seq, 10)
+	b = append(b, `,"op":`...)
+	b = jsonw.AppendString(b, string(rec.Op))
+	if rec.Namespace != "" {
+		b = append(b, `,"ns":`...)
+		b = jsonw.AppendString(b, rec.Namespace)
+	}
+	if rec.Name != "" {
+		b = append(b, `,"name":`...)
+		b = jsonw.AppendString(b, rec.Name)
+	}
+	if rec.Version != 0 {
+		b = append(b, `,"version":`...)
+		b = strconv.AppendInt(b, int64(rec.Version), 10)
+	}
+	// omitempty never omits a struct, so every record carries stored_at.
+	b = append(b, `,"stored_at":`...)
+	b, err := jsonw.AppendTime(b, rec.StoredAt)
+	if err != nil {
+		return dst, err
+	}
+	if rec.Label != "" {
+		b = append(b, `,"label":`...)
+		b = jsonw.AppendString(b, rec.Label)
+	}
+	if rec.Epsilon != 0 {
+		b = append(b, `,"epsilon":`...)
+		if b, err = jsonw.AppendFloat(b, rec.Epsilon); err != nil {
+			return dst, err
+		}
+	}
+	if len(rec.Payload) > 0 {
+		b = append(b, `,"payload":`...)
+		b = append(b, rec.Payload...)
+	}
+	return append(b, '}'), nil
 }
 
 // Scan walks the framed records in data, calling fn for each in order.
@@ -483,6 +541,12 @@ func WriteSnapshot(path string, v any) error {
 	if err != nil {
 		return err
 	}
+	return WriteSnapshotData(path, data)
+}
+
+// WriteSnapshotData is WriteSnapshot for a document already encoded:
+// data is written as given, with the same atomic replace.
+func WriteSnapshotData(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -271,5 +272,64 @@ func TestSnapshotRoundTripAndCorruption(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(path, &got); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("partial snapshot err = %v, want ErrCorrupt", err)
+	}
+}
+
+// encodeRecords are put, charge and delete records with the field
+// edges the hand-written encoder must match: local and zero times,
+// strings needing HTML and control escapes, a negative zero epsilon
+// (omitted, as omitempty omits it) and exponent-form epsilons.
+func encodeRecords() []Record {
+	payload := json.RawMessage(`{"version":2,"strategy":"laplace","epsilon":0.5,"auto":{"strategy":"a\u003cb"},"noisy":[1.5,-2,1e-7],"counts":[1,0,2]}`)
+	return []Record{
+		{Seq: 1, Op: OpPut, Namespace: "default", Name: "traffic", Version: 3,
+			StoredAt: time.Date(2026, 3, 4, 5, 6, 7, 891011, time.UTC), Payload: payload},
+		{Seq: 2, Op: OpPut, Namespace: "geo.analytics", Name: "a<b>&\"q\"\n é\x80", Version: 1 << 40,
+			StoredAt: time.Date(1999, 12, 31, 23, 59, 59, 0, time.FixedZone("x", -5*3600)), Payload: payload},
+		{Seq: 3, Op: OpCharge, Namespace: "default", Label: "release:universal", Epsilon: 0.25},
+		{Seq: 4, Op: OpCharge, Namespace: "t", Label: "<auto>", Epsilon: 1e-7},
+		{Seq: 5, Op: OpCharge, Namespace: "t", Epsilon: 1e21},
+		{Seq: 6, Op: OpCharge, Namespace: "t", Epsilon: math.Copysign(0, -1)},
+		{Seq: 7, Op: OpDelete, Namespace: "default", Name: "traffic"},
+		{Seq: 1<<64 - 1, Op: OpDelete},
+	}
+}
+
+// Marshal's frame body is json.Marshal(rec) byte for byte, and the
+// header frames it.
+func TestMarshalMatchesEncodingJSON(t *testing.T) {
+	for _, rec := range encodeRecords() {
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(frame[headerSize:]) != string(want) {
+			t.Fatalf("record %d diverges from json.Marshal:\n got %s\nwant %s", rec.Seq, frame[headerSize:], want)
+		}
+		if n := binary.LittleEndian.Uint32(frame[0:4]); int(n) != len(want) {
+			t.Fatalf("record %d: framed length %d, want %d", rec.Seq, n, len(want))
+		}
+		if got := binary.LittleEndian.Uint32(frame[8:12]); got != crc32.ChecksumIEEE(want) {
+			t.Fatalf("record %d: payload checksum mismatch", rec.Seq)
+		}
+	}
+	put := encodeRecords()[0]
+	if n := testing.AllocsPerRun(10, func() { _, _ = Marshal(put) }); n != 1 {
+		t.Fatalf("Marshal of a put record allocates %v times, want 1", n)
+	}
+	for _, bad := range []Record{
+		{Seq: 1, Op: OpCharge, Epsilon: math.NaN()},
+		{Seq: 1, Op: OpPut, StoredAt: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
+	} {
+		if _, err := json.Marshal(bad); err == nil {
+			t.Fatalf("json.Marshal accepted %+v", bad)
+		}
+		if _, err := Marshal(bad); err == nil {
+			t.Fatalf("Marshal accepted %+v", bad)
+		}
 	}
 }

@@ -11,7 +11,6 @@ package server
 // way they restrict the data directory.
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -91,7 +90,10 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	}
 	deadline := time.NewTimer(window)
 	defer deadline.Stop()
-	enc := json.NewEncoder(w)
+	// Each line is the record's journal encoding: the bytes json.Encoder
+	// would write, without compacting the put payloads once more — Scan
+	// validated them when it read the log.
+	var line []byte
 	flusher, _ := w.(http.Flusher)
 	wrote := false
 	for {
@@ -122,7 +124,11 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 				wrote = true
 			}
 			for _, rec := range recs {
-				if err := enc.Encode(rec); err != nil {
+				if line, err = journal.AppendJSON(line[:0], rec); err != nil {
+					return // unreachable: a record Scan decoded re-encodes
+				}
+				line = append(line, '\n')
+				if _, err := w.Write(line); err != nil {
 					return // client went away mid-chunk
 				}
 			}

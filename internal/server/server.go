@@ -470,12 +470,15 @@ type requestStats struct {
 	AutoResolved map[string]int64 `json:"auto_resolved,omitempty"`
 }
 
+// handleStats serves GET /v1/stats. It is an unauthenticated read, so
+// it creates nothing: one read-locked pass over the store counts every
+// namespace's releases, and budgets come from existing accountants only.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	names := s.store.Namespaces()
+	counts := s.store.NamespaceCounts()
 	// The default namespace is always reported, even before first use.
-	if !slices.Contains(names, dphist.DefaultNamespace) {
-		names = append([]string{dphist.DefaultNamespace}, names...)
-		sort.Strings(names)
+	if !slices.ContainsFunc(counts, func(c dphist.NamespaceCount) bool { return c.Name == dphist.DefaultNamespace }) {
+		counts = append(counts, dphist.NamespaceCount{Name: dphist.DefaultNamespace})
+		sort.Slice(counts, func(i, j int) bool { return counts[i].Name < counts[j].Name })
 	}
 	stats := statsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -502,22 +505,31 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Ingester != nil {
 		stats.Ingest = ingestStats{Enabled: true, Stats: s.cfg.Ingester.Stats()}
 	}
-	for _, ns := range names {
-		sess, err := s.session(ns)
-		if err != nil {
-			s.writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-			return
+	for _, c := range counts {
+		ns := namespaceStats{Name: c.Name, Releases: c.Releases}
+		if acct := s.lookupAccountant(c.Name); acct != nil {
+			ns.BudgetTotal, ns.BudgetSpent, ns.BudgetRemaining = acct.Total(), acct.Spent(), acct.Remaining()
+		} else {
+			// Nothing has been charged here; report the untouched budget,
+			// as handleBudget does.
+			ns.BudgetTotal, ns.BudgetRemaining = s.store.Budget(), s.store.Budget()
 		}
-		acct := sess.Accountant()
-		stats.Namespaces = append(stats.Namespaces, namespaceStats{
-			Name:            ns,
-			Releases:        s.store.Namespace(ns).Len(),
-			BudgetTotal:     acct.Total(),
-			BudgetSpent:     acct.Spent(),
-			BudgetRemaining: acct.Remaining(),
-		})
+		stats.Namespaces = append(stats.Namespaces, ns)
 	}
 	s.writeJSON(w, http.StatusOK, stats)
+}
+
+// lookupAccountant returns the accountant the namespace's session
+// charges, or nil when none exists yet, creating nothing: the default
+// namespace's Config.Accountant override when set, else the store's.
+func (s *Server) lookupAccountant(ns string) *dphist.Accountant {
+	if ns == dphist.DefaultNamespace && s.cfg.Accountant != nil {
+		return s.cfg.Accountant
+	}
+	if a, ok := s.store.LookupAccountant(ns); ok {
+		return a
+	}
+	return nil
 }
 
 // budgetResponse is the GET /v1/budget payload.
@@ -529,18 +541,8 @@ type budgetResponse struct {
 }
 
 func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request, ns string) {
-	var acct *dphist.Accountant
-	if ns == dphist.DefaultNamespace {
-		sess, err := s.session(ns)
-		if err != nil {
-			s.writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-			return
-		}
-		acct = sess.Accountant()
-	} else if a, ok := s.store.LookupAccountant(ns); ok {
-		// Every other namespace's session charges the store's accountant.
-		acct = a
-	} else {
+	acct := s.lookupAccountant(ns)
+	if acct == nil {
 		// A read must not bring a namespace into being: probing arbitrary
 		// names would otherwise grow server state without bound. A
 		// namespace without an accountant has spent nothing, whether or
@@ -600,7 +602,8 @@ type releaseRequest struct {
 // embedded release payload is self-describing (dphist wire format
 // Version) and decodes client-side via dphist.DecodeRelease. Strategy
 // is the strategy actually minted — for an auto request, the resolved
-// one, with the full decision in Auto.
+// one, with the full decision in Auto. It documents the reply's shape;
+// appendReleaseResponse writes the same bytes without reflection.
 type releaseResponse struct {
 	Version         int                  `json:"version"`
 	Strategy        string               `json:"strategy"`
@@ -733,20 +736,8 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request, ns string
 	}
 	s.mintCount.Add(1)
 	auto := s.noteAutoDecision(release)
-	raw, err := json.Marshal(release)
-	if err != nil {
-		s.writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, releaseResponse{
-		Version:         dphist.WireVersion,
-		Strategy:        release.Strategy().String(),
-		Epsilon:         req.Epsilon,
-		Domain:          len(s.cfg.Counts),
-		Release:         raw,
-		Auto:            auto,
-		BudgetRemaining: sess.Remaining(),
-	})
+	out, err := appendReleaseResponse(nil, req.Epsilon, len(s.cfg.Counts), release, auto, sess.Remaining())
+	s.writeAppended(w, out, err)
 }
 
 // storeReleaseRequest is the POST /v1/releases payload: mint a release
@@ -787,7 +778,9 @@ func wireEntry(e dphist.StoreEntry) storedReleaseInfo {
 // storeReleaseResponse is the POST /v1/releases reply: the stored
 // entry's metadata plus the self-describing release payload, so the
 // analyst can also query offline via dphist.DecodeRelease. Auto carries
-// the resolution decision when the mint used "strategy": "auto".
+// the resolution decision when the mint used "strategy": "auto". Like
+// releaseResponse it documents the shape appendStoreReleaseResponse
+// writes.
 type storeReleaseResponse struct {
 	storedReleaseInfo
 	Release         json.RawMessage      `json:"release"`
@@ -825,17 +818,8 @@ func (s *Server) handleStoreRelease(w http.ResponseWriter, r *http.Request, ns s
 	}
 	s.mintCount.Add(1)
 	auto := s.noteAutoDecision(release)
-	raw, err := json.Marshal(release)
-	if err != nil {
-		s.writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, storeReleaseResponse{
-		storedReleaseInfo: wireEntry(entry),
-		Release:           raw,
-		Auto:              auto,
-		BudgetRemaining:   sess.Remaining(),
-	})
+	out, err := appendStoreReleaseResponse(nil, entry, release, auto, sess.Remaining())
+	s.writeAppended(w, out, err)
 }
 
 // listReleasesResponse is the GET /v1/releases payload.

@@ -8,8 +8,10 @@
 // whole request — body bytes, decoded specs, answers, and the response
 // buffer all live in one sync.Pool entry — a hand-rolled streaming
 // parser for the two fixed request shapes, and an append-based response
-// writer built on strconv. The steady-state cost is ~1 amortized
-// allocation per request (enforced by TestServerQueryAllocs).
+// writer built on the internal/jsonw primitives. The steady-state cost
+// is ~1 amortized allocation per request (enforced by
+// TestServerQueryAllocs). The mint replies use the same append writers,
+// with the release's wire bytes spliced in by dphist.AppendRelease.
 //
 // The parser is not "close enough" JSON: FuzzQueryRequestParse holds it
 // to encoding/json's observable behavior on the request shapes —
@@ -25,6 +27,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -36,6 +39,7 @@ import (
 	"unicode/utf8"
 
 	"github.com/dphist/dphist"
+	"github.com/dphist/dphist/internal/jsonw"
 )
 
 // queryScratch is one pooled working set for a query request: every
@@ -969,108 +973,99 @@ func (p *wireParser) parseRectSpec(sc *queryScratch, i int, spec *dphist.RectSpe
 
 // --- response encoding ---
 
-const hexDigits = "0123456789abcdef"
-
-// errUnsupportedFloat mirrors encoding/json's UnsupportedValueError for
-// NaN and infinities, which JSON cannot carry.
-var errUnsupportedFloat = errors.New("unsupported value: NaN or Inf answer")
-
-// appendJSONString appends s as a JSON string, byte-identical to
-// encoding/json's default encoder: HTML-relevant characters and
-// U+2028/U+2029 escaped, invalid UTF-8 replaced with U+FFFD.
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
-}
-
-// appendJSONFloat appends f exactly as encoding/json's floatEncoder
-// does: shortest representation, 'f' format unless the magnitude calls
-// for 'e', with the exponent's leading zero trimmed.
-func appendJSONFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return b, errUnsupportedFloat
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
-}
-
 // appendQueryResponse appends the query/query2d success payload —
 // {"namespace":...,"name":...,"version":N,"strategy":...,"answers":[...]}
 // plus the trailing newline json.Encoder emits — so the wire bytes are
 // indistinguishable from the reflection path's.
 func appendQueryResponse(b []byte, entry dphist.StoreEntry, answers []float64) ([]byte, error) {
-	b = append(b, `{"namespace":`...)
-	b = appendJSONString(b, entry.Namespace)
-	b = append(b, `,"name":`...)
-	b = appendJSONString(b, entry.Name)
-	b = append(b, `,"version":`...)
-	b = strconv.AppendInt(b, int64(entry.Version), 10)
-	b = append(b, `,"strategy":`...)
-	b = appendJSONString(b, entry.Strategy.String())
+	b = appendEntryHead(b, entry)
 	b = append(b, `,"answers":[`...)
 	var err error
 	for i, v := range answers {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		if b, err = appendJSONFloat(b, v); err != nil {
+		if b, err = jsonw.AppendFloat(b, v); err != nil {
 			return b, err
 		}
 	}
 	return append(b, ']', '}', '\n'), nil
+}
+
+// appendEntryHead opens a reply object with the fields the query and
+// store-mint replies both lead with: the stored entry's namespace, name,
+// version and strategy.
+func appendEntryHead(b []byte, entry dphist.StoreEntry) []byte {
+	b = append(b, `{"namespace":`...)
+	b = jsonw.AppendString(b, entry.Namespace)
+	b = append(b, `,"name":`...)
+	b = jsonw.AppendString(b, entry.Name)
+	b = append(b, `,"version":`...)
+	b = strconv.AppendInt(b, int64(entry.Version), 10)
+	b = append(b, `,"strategy":`...)
+	return jsonw.AppendString(b, entry.Strategy.String())
+}
+
+// appendReleaseResponse appends the POST /v1/release reply, the bytes
+// writeJSON(releaseResponse{...}) writes, with the release's wire
+// encoding spliced in by dphist.AppendRelease instead of being marshaled
+// and then scanned twice more as a json.RawMessage.
+func appendReleaseResponse(b []byte, eps float64, domain int, release dphist.Release, auto *dphist.AutoDecision, remaining float64) ([]byte, error) {
+	b = append(b, `{"version":`...)
+	b = strconv.AppendInt(b, dphist.WireVersion, 10)
+	b = append(b, `,"strategy":`...)
+	b = jsonw.AppendString(b, release.Strategy().String())
+	b = append(b, `,"epsilon":`...)
+	b, err := jsonw.AppendFloat(b, eps)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `,"domain":`...)
+	b = strconv.AppendInt(b, int64(domain), 10)
+	return appendReleaseTail(b, release, auto, remaining)
+}
+
+// appendStoreReleaseResponse appends the POST /v1/releases reply, the
+// bytes writeJSON(storeReleaseResponse{...}) writes, splicing in the
+// release the way appendReleaseResponse does.
+func appendStoreReleaseResponse(b []byte, entry dphist.StoreEntry, release dphist.Release, auto *dphist.AutoDecision, remaining float64) ([]byte, error) {
+	b = appendEntryHead(b, entry)
+	b = append(b, `,"epsilon":`...)
+	b, err := jsonw.AppendFloat(b, entry.Epsilon)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `,"domain":`...)
+	b = strconv.AppendInt(b, int64(entry.Domain), 10)
+	b = append(b, `,"stored_at":`...)
+	if b, err = jsonw.AppendTime(b, entry.StoredAt); err != nil {
+		return b, err
+	}
+	return appendReleaseTail(b, release, auto, remaining)
+}
+
+// appendReleaseTail closes both mint replies: the release payload, the
+// auto decision when there is one, the remaining budget, and the
+// trailing newline.
+func appendReleaseTail(b []byte, release dphist.Release, auto *dphist.AutoDecision, remaining float64) ([]byte, error) {
+	b = append(b, `,"release":`...)
+	b, err := dphist.AppendRelease(b, release)
+	if err != nil {
+		return b, err
+	}
+	if auto != nil {
+		dec, err := json.Marshal(auto)
+		if err != nil {
+			return b, err
+		}
+		b = append(b, `,"auto":`...)
+		b = append(b, dec...)
+	}
+	b = append(b, `,"budget_remaining":`...)
+	if b, err = jsonw.AppendFloat(b, remaining); err != nil {
+		return b, err
+	}
+	return append(b, '}', '\n'), nil
 }
 
 // nsView returns the namespace handle for ns and whether it came from
@@ -1097,11 +1092,17 @@ func (s *Server) serveQueryError(w http.ResponseWriter, err error) {
 }
 
 // writeQueryResponse encodes into the scratch's pooled output buffer
-// and writes it. An unencodable answer (NaN/Inf) is a server-side fault:
-// counted, 500, nothing half-written.
+// and writes it.
 func (s *Server) writeQueryResponse(w http.ResponseWriter, sc *queryScratch, entry dphist.StoreEntry, answers []float64) {
 	out, err := appendQueryResponse(sc.out[:0], entry, answers)
 	sc.out = out
+	s.writeAppended(w, out, err)
+}
+
+// writeAppended writes a success reply built by one of the append
+// encoders above. A failed encode (a NaN or Inf in the payload) is a
+// server-side fault: counted, 500, nothing half-written.
+func (s *Server) writeAppended(w http.ResponseWriter, out []byte, err error) {
 	if err != nil {
 		s.encodeErrors.Add(1)
 		s.writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "encoding response: " + err.Error()})

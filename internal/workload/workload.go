@@ -138,7 +138,7 @@ func (w *Workload) ErrorHTilde(k int, eps float64) (float64, error) {
 	perNode := core.NoiseVariance(core.SensitivityH(tree), eps)
 	total := 0.0
 	for _, q := range w.queries {
-		total += q.Weight * float64(len(tree.Decompose(q.Lo, q.Hi))) * perNode
+		total += q.Weight * float64(tree.DecomposeCount(q.Lo, q.Hi)) * perNode
 	}
 	return total, nil
 }

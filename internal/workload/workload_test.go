@@ -313,9 +313,26 @@ func TestPredictAllBoundedWork(t *testing.T) {
 	}
 }
 
+// H~'s prediction counts each range's decomposition without building
+// it, so its allocations do not grow with the number of queries.
+func TestErrorHTildeBoundedAllocs(t *testing.T) {
+	const n = 1 << 20
+	big, one := sizedWorkload(n, 4096), sizedWorkload(n, 1)
+	allocs := func(w *Workload) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := w.ErrorHTilde(2, 0.5); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a4096, a1 := allocs(big), allocs(one); a4096 != a1 {
+		t.Fatalf("ErrorHTilde allocates %v times for 4096 queries, %v for 1", a4096, a1)
+	}
+}
+
 // BenchmarkPredict times PredictAll, the advisor's full ranking, at the
 // serving benchmark's sketch size on its two domains and at the sketch
-// cap on a 2^20-leaf domain.
+// cap on a 2^20-leaf domain, and the H~ prediction alone at that cap.
 func BenchmarkPredict(b *testing.B) {
 	for _, c := range []struct{ n, m int }{{256, 24}, {1024, 24}, {1 << 20, 4096}} {
 		w := sizedWorkload(c.n, c.m)
@@ -328,4 +345,13 @@ func BenchmarkPredict(b *testing.B) {
 			}
 		})
 	}
+	w := sizedWorkload(1<<20, 4096)
+	b.Run("htilde/domain=1048576/queries=4096", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := w.ErrorHTilde(2, 0.5); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -18,11 +18,13 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/dphist/dphist/internal/journal"
+	"github.com/dphist/dphist/internal/jsonw"
 )
 
 // ErrStoreClosed reports an operation on a store after Close.
@@ -186,18 +188,15 @@ func openStore(dir string, readOnly bool, opts ...StoreOption) (*Store, error) {
 	return s, nil
 }
 
-// journalPut appends a put record; the caller must not commit the entry
-// to memory (or acknowledge it) unless this returns nil. A no-op for
-// in-memory stores.
-func (s *Store) journalPut(entry StoreEntry, r Release) error {
+// journalPut appends a put record carrying the release's wire bytes
+// (AppendRelease output); the caller must not commit the entry to memory
+// (or acknowledge it) unless this returns nil. A no-op for in-memory
+// stores.
+func (s *Store) journalPut(entry StoreEntry, payload []byte) error {
 	if s.jnl == nil {
 		return nil
 	}
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	_, err = s.jnl.Append(journal.Record{
+	_, err := s.jnl.Append(journal.Record{
 		Op:        journal.OpPut,
 		Namespace: entry.Namespace,
 		Name:      entry.Name,
@@ -286,51 +285,55 @@ func (s *Store) snapshot(closing bool) error {
 	if s.closed && !closing {
 		return ErrStoreClosed
 	}
-	snap, err := s.collectSnapshotLocked()
+	data, seq, err := s.collectSnapshotLocked()
 	if err != nil {
 		return err
 	}
-	if err := journal.WriteSnapshot(filepath.Join(s.dir, snapshotFile), snap); err != nil {
+	if err := journal.WriteSnapshotData(filepath.Join(s.dir, snapshotFile), data); err != nil {
 		return err
 	}
 	// The snapshot is durable and covers every journaled record, so the
 	// WAL can be discarded. A crash in between leaves records with
-	// seq <= snap.Seq in the WAL; recovery skips them.
+	// seq <= the snapshot's in the WAL; recovery skips them.
 	if err := s.jnl.Reset(); err != nil {
 		return err
 	}
 	s.appended.Store(0)
-	s.snapSeq.Store(snap.Seq)
+	s.snapSeq.Store(seq)
 	return nil
 }
 
-// collectSnapshotLocked serializes complete store state; the caller
-// holds opMu for write, so no journaled mutation is in flight and the
-// WAL's last assigned sequence exactly bounds the collected state.
-func (s *Store) collectSnapshotLocked() (*storeSnapshot, error) {
-	snap := &storeSnapshot{
-		Seq:     s.jnl.NextSeq() - 1,
-		SavedAt: s.now(),
+// collectSnapshotLocked encodes complete store state as the snapshot
+// document and returns it with the journal sequence it covers; the
+// caller holds opMu for write, so no journaled mutation is in flight and
+// the WAL's last assigned sequence exactly bounds the collected state.
+//
+// The document is appended by hand, each release's AppendRelease bytes
+// written straight into it, and equals json.Marshal of the matching
+// storeSnapshot. Building the struct first would hold every payload, the
+// encoder's buffer and its output copy at once: three copies of the
+// store's releases, enough to set a durable server's peak heap.
+func (s *Store) collectSnapshotLocked() ([]byte, uint64, error) {
+	seq := s.jnl.NextSeq() - 1
+	savedAt := s.now()
+	// Each entry's release and fields are copied under its shard's lock;
+	// releases are immutable, so the encoding below runs outside them.
+	type liveEntry struct {
+		key      nsKey
+		release  Release
+		version  int
+		storedAt time.Time
 	}
+	var entries []liveEntry
+	var versions []snapVersion
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		s.sweepExpiredLocked(sh, s.now())
 		for k, it := range sh.items {
-			payload, err := json.Marshal(it.release)
-			if err != nil {
-				sh.mu.Unlock()
-				return nil, err
-			}
-			snap.Entries = append(snap.Entries, snapEntry{
-				Namespace: k.ns,
-				Name:      k.name,
-				Version:   it.entry.Version,
-				StoredAt:  it.entry.StoredAt,
-				Release:   payload,
-			})
+			entries = append(entries, liveEntry{k, it.release, it.entry.Version, it.entry.StoredAt})
 		}
 		for k, v := range sh.versions {
-			snap.Versions = append(snap.Versions, snapVersion{Namespace: k.ns, Name: k.name, Version: v})
+			versions = append(versions, snapVersion{Namespace: k.ns, Name: k.name, Version: v})
 		}
 		sh.mu.Unlock()
 	}
@@ -345,35 +348,111 @@ func (s *Store) collectSnapshotLocked() (*storeSnapshot, error) {
 		names = append(names, ns)
 	}
 	sort.Strings(names)
+	var charges []snapCharge
 	for _, ns := range names {
 		spent, count := accts[ns].rawSpent()
 		if count == 0 {
 			continue
 		}
-		snap.Charges = append(snap.Charges, snapCharge{
+		charges = append(charges, snapCharge{
 			Namespace: ns,
 			Label:     fmt.Sprintf("recovered: %d charges", count),
 			Epsilon:   spent,
 		})
 	}
-	sort.Slice(snap.Entries, func(i, j int) bool {
-		a, b := snap.Entries[i], snap.Entries[j]
-		if !a.StoredAt.Equal(b.StoredAt) {
-			return a.StoredAt.Before(b.StoredAt)
+	sort.Slice(entries, func(i, j int) bool {
+		a, b := entries[i], entries[j]
+		if !a.storedAt.Equal(b.storedAt) {
+			return a.storedAt.Before(b.storedAt)
 		}
+		if a.key.ns != b.key.ns {
+			return a.key.ns < b.key.ns
+		}
+		return a.key.name < b.key.name
+	})
+	sort.Slice(versions, func(i, j int) bool {
+		a, b := versions[i], versions[j]
 		if a.Namespace != b.Namespace {
 			return a.Namespace < b.Namespace
 		}
 		return a.Name < b.Name
 	})
-	sort.Slice(snap.Versions, func(i, j int) bool {
-		a, b := snap.Versions[i], snap.Versions[j]
-		if a.Namespace != b.Namespace {
-			return a.Namespace < b.Namespace
+
+	b := append(make([]byte, 0, 4096), `{"seq":`...)
+	b = strconv.AppendUint(b, seq, 10)
+	b = append(b, `,"saved_at":`...)
+	b, err := jsonw.AppendTime(b, savedAt)
+	if err != nil {
+		return nil, 0, err
+	}
+	b = append(b, `,"entries":`...)
+	b, err = appendList(b, len(entries), entries == nil, func(b []byte, i int) ([]byte, error) {
+		e := entries[i]
+		b = appendSnapHead(b, e.key.ns, e.key.name)
+		b = append(b, `,"version":`...)
+		b = strconv.AppendInt(b, int64(e.version), 10)
+		b = append(b, `,"stored_at":`...)
+		b, err := jsonw.AppendTime(b, e.storedAt)
+		if err != nil {
+			return b, err
 		}
-		return a.Name < b.Name
+		b = append(b, `,"release":`...)
+		b, err = AppendRelease(b, e.release)
+		return append(b, '}'), err
 	})
-	return snap, nil
+	if err != nil {
+		return nil, 0, err
+	}
+	b = append(b, `,"versions":`...)
+	// Version objects hold only strings and integers, which cannot fail.
+	b, _ = appendList(b, len(versions), versions == nil, func(b []byte, i int) ([]byte, error) {
+		b = appendSnapHead(b, versions[i].Namespace, versions[i].Name)
+		b = append(b, `,"version":`...)
+		b = strconv.AppendInt(b, int64(versions[i].Version), 10)
+		return append(b, '}'), nil
+	})
+	b = append(b, `,"charges":`...)
+	b, err = appendList(b, len(charges), charges == nil, func(b []byte, i int) ([]byte, error) {
+		b = append(b, `{"ns":`...)
+		b = jsonw.AppendString(b, charges[i].Namespace)
+		b = append(b, `,"label":`...)
+		b = jsonw.AppendString(b, charges[i].Label)
+		b = append(b, `,"epsilon":`...)
+		b, err := jsonw.AppendFloat(b, charges[i].Epsilon)
+		return append(b, '}'), err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return append(b, '}'), seq, nil
+}
+
+// appendList appends n elements written by elem as a JSON array, or
+// null for a nil list, as encoding/json encodes a nil slice.
+func appendList(b []byte, n int, isNil bool, elem func([]byte, int) ([]byte, error)) ([]byte, error) {
+	if isNil {
+		return append(b, "null"...), nil
+	}
+	b = append(b, '[')
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = elem(b, i); err != nil {
+			return b, err
+		}
+	}
+	return append(b, ']'), nil
+}
+
+// appendSnapHead opens a snapshot entry or version object with its
+// namespace and name.
+func appendSnapHead(b []byte, ns, name string) []byte {
+	b = append(b, `{"ns":`...)
+	b = jsonw.AppendString(b, ns)
+	b = append(b, `,"name":`...)
+	return jsonw.AppendString(b, name)
 }
 
 // Close flushes a final snapshot and closes the journal. Every later

@@ -604,3 +604,86 @@ func TestStoreDurableConcurrency(t *testing.T) {
 		}
 	}
 }
+
+// The hand-appended snapshot document is exactly what json.Marshal
+// writes for the storeSnapshot it decodes to, and that struct holds the
+// store's state: every live release's wire bytes, every version counter
+// (deleted names included) and every namespace's spent budget.
+func TestSnapshotDocumentMatchesReflection(t *testing.T) {
+	s, err := OpenStore(t.TempDir(), WithoutSync(), WithSnapshotEvery(0), WithBudget(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	checkDoc := func() storeSnapshot {
+		t.Helper()
+		s.opMu.Lock()
+		data, seq, err := s.collectSnapshotLocked()
+		s.opMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap storeSnapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatalf("snapshot document does not decode: %v\n%s", err, data)
+		}
+		want, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != string(want) {
+			t.Fatalf("snapshot document diverges from json.Marshal:\n got %s\nwant %s", data, want)
+		}
+		if snap.Seq != seq || seq != s.JournalSeq() {
+			t.Fatalf("snapshot seq %d (returned %d), journal at %d", snap.Seq, seq, s.JournalSeq())
+		}
+		return snap
+	}
+	if snap := checkDoc(); snap.Entries != nil || snap.Versions != nil || snap.Charges != nil {
+		t.Fatalf("empty store snapshot = %+v", snap)
+	}
+
+	m := MustNew(WithSeed(8))
+	counts := []float64{3, 1, 4, 1, 5, 9, 2, 6}
+	for i, ns := range []string{"default", "a<&>b", "t "} {
+		sess, err := s.Namespace(ns).Session(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, req := range []Request{
+			{Strategy: StrategyUniversal, Counts: counts, Epsilon: 0.25},
+			{Strategy: StrategyAuto, Counts: counts, Epsilon: 0.5, Workload: &WorkloadSketch{Preset: "prefixes"}},
+			{Strategy: StrategyLaplace, Counts: counts, Epsilon: 1.0 / 3},
+		} {
+			if _, _, err := s.Namespace(ns).Mint(sess, fmt.Sprintf("r%d\"%d", i, j), req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !s.Namespace("a<&>b").Delete("r1\"0") {
+		t.Fatal("delete found nothing")
+	}
+	snap := checkDoc()
+	if len(snap.Entries) != 8 || len(snap.Versions) != 9 || len(snap.Charges) != 3 {
+		t.Fatalf("snapshot holds %d entries, %d versions, %d charges; want 8, 9, 3",
+			len(snap.Entries), len(snap.Versions), len(snap.Charges))
+	}
+	for _, e := range snap.Entries {
+		rel, entry, ok := s.Namespace(e.Namespace).Get(e.Name)
+		if !ok {
+			t.Fatalf("snapshot entry %s/%s is not live", e.Namespace, e.Name)
+		}
+		raw, err := json.Marshal(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(e.Release) != string(raw) || e.Version != entry.Version || !e.StoredAt.Equal(entry.StoredAt) {
+			t.Fatalf("snapshot entry %s/%s does not match the store", e.Namespace, e.Name)
+		}
+	}
+	for _, c := range snap.Charges {
+		if want := s.Namespace(c.Namespace).Accountant().Spent(); c.Epsilon != want {
+			t.Fatalf("snapshot charge for %s = %v, spent %v", c.Namespace, c.Epsilon, want)
+		}
+	}
+}

@@ -222,15 +222,7 @@ func (s *Store) ReplicationSnapshot() ([]byte, uint64, error) {
 	if s.closed {
 		return nil, 0, ErrStoreClosed
 	}
-	snap, err := s.collectSnapshotLocked()
-	if err != nil {
-		return nil, 0, err
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, snap.Seq, nil
+	return s.collectSnapshotLocked()
 }
 
 // ReplicationRead returns every journal record with sequence >= from.

@@ -288,27 +288,49 @@ func (s *Store) Namespace(name string) *Namespace {
 // holds a live release or has an instantiated budget accountant. It only
 // reads, so it takes the shard read locks and never stalls a query.
 func (s *Store) Namespaces() []string {
-	seen := make(map[string]bool)
+	counts := s.NamespaceCounts()
+	out := make([]string, len(counts))
+	for i, c := range counts {
+		out[i] = c.Name
+	}
+	return out
+}
+
+// NamespaceCount is one namespace's number of live releases.
+type NamespaceCount struct {
+	Name     string
+	Releases int
+}
+
+// NamespaceCounts reports every namespace Namespaces lists, sorted by
+// name, with its number of live releases: zero for a namespace that only
+// has an accountant. It is one pass over the shards under their read
+// locks, skipping expired entries without removing them, so it never
+// stalls a query and creates no state.
+func (s *Store) NamespaceCounts() []NamespaceCount {
+	counts := make(map[string]int)
 	now := s.nowIfTTL()
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for k, it := range sh.items {
 			if !s.expired(it, now) {
-				seen[k.ns] = true
+				counts[k.ns]++
 			}
 		}
 		sh.mu.RUnlock()
 	}
 	s.acctMu.Lock()
 	for ns := range s.accts {
-		seen[ns] = true
+		if _, ok := counts[ns]; !ok {
+			counts[ns] = 0
+		}
 	}
 	s.acctMu.Unlock()
-	out := make([]string, 0, len(seen))
-	for ns := range seen {
-		out = append(out, ns)
+	out := make([]NamespaceCount, 0, len(counts))
+	for ns, n := range counts {
+		out = append(out, NamespaceCount{Name: ns, Releases: n})
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -613,7 +635,15 @@ func (s *Store) put(ns, name string, r Release) (StoreEntry, error) {
 	if s.readOnly {
 		return StoreEntry{}, ErrReadOnly
 	}
+	var payload []byte
 	if s.jnl != nil {
+		// Encode before taking any lock: formatting a large release takes
+		// about a millisecond, and under the shard's write lock it would
+		// stall every read of every name on the shard.
+		var err error
+		if payload, err = AppendRelease(nil, r); err != nil {
+			return StoreEntry{}, err
+		}
 		s.opMu.RLock()
 		if s.closed {
 			s.opMu.RUnlock()
@@ -637,7 +667,7 @@ func (s *Store) put(ns, name string, r Release) (StoreEntry, error) {
 	// Durability before visibility: the put must be on disk before any
 	// reader can observe it, or a crash would forget a release the
 	// analyst has already seen named metadata for.
-	if err := s.journalPut(entry, r); err != nil {
+	if err := s.journalPut(entry, payload); err != nil {
 		sh.mu.Unlock()
 		if s.jnl != nil {
 			s.opMu.RUnlock()
@@ -762,18 +792,19 @@ func (s *Store) queryRectsInto(dst []float64, ns, name string, specs []RectSpec)
 	return answers, entry, nil
 }
 
+// list and length only read: they take the shard read locks and skip
+// expired entries, leaving their removal to writers and snapshotLive.
 func (s *Store) list(ns string) []StoreEntry {
 	var out []StoreEntry
 	now := s.nowIfTTL()
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		s.sweepExpiredLocked(sh, now)
+		sh.mu.RLock()
 		for k, it := range sh.items {
-			if k.ns == ns {
+			if k.ns == ns && !s.expired(it, now) {
 				out = append(out, it.entry)
 			}
 		}
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	if out == nil {
@@ -826,14 +857,13 @@ func (s *Store) length(ns string) int {
 	n := 0
 	now := s.nowIfTTL()
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		s.sweepExpiredLocked(sh, now)
-		for k := range sh.items {
-			if k.ns == ns {
+		sh.mu.RLock()
+		for k, it := range sh.items {
+			if k.ns == ns && !s.expired(it, now) {
 				n++
 			}
 		}
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
 	return n
 }

@@ -8,6 +8,7 @@ package dphist
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -167,5 +168,136 @@ func TestNamespaceProbesTakeReadLocks(t *testing.T) {
 	}
 	if len(names) != 1 || names[0] != "tenant" {
 		t.Errorf("Namespaces = %v, want [tenant]", names)
+	}
+}
+
+// The per-namespace release count behind /v1/stats, and the Len and
+// List probes, only read: they return while every shard is read-locked,
+// count only live entries, and leave expired ones for writers to remove.
+func TestNamespaceCountsTakeReadLocks(t *testing.T) {
+	s := NewStore(WithShards(4), WithTTL(time.Hour))
+	clock := time.Unix(1000, 0)
+	s.now = func() time.Time { return clock }
+	for _, name := range []string{"old", "r1", "r2"} {
+		if _, err := s.Namespace("tenant").Put(name, testRelease(t, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if name == "old" {
+			clock = clock.Add(50 * time.Minute)
+		}
+	}
+	// Now "old" has expired and r1 and r2 have not, and no write has run
+	// since, so the expired entry is still in its shard.
+	clock = clock.Add(20 * time.Minute)
+	s.Namespace("budget-only").Accountant()
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+	}
+	type probe struct {
+		counts  []NamespaceCount
+		n       int
+		entries []StoreEntry
+	}
+	done := make(chan probe, 1)
+	go func() {
+		ns := s.Namespace("tenant")
+		done <- probe{s.NamespaceCounts(), ns.Len(), ns.List()}
+	}()
+	var got probe
+	var ok bool
+	select {
+	case got = <-done:
+		ok = true
+	case <-time.After(5 * time.Second):
+		t.Error("namespace count blocked behind shard read locks")
+	}
+	for _, sh := range s.shards {
+		sh.mu.RUnlock()
+	}
+	if !ok {
+		got = <-done // the blocked probe finishes once the readers leave
+	}
+	want := []NamespaceCount{{Name: "budget-only", Releases: 0}, {Name: "tenant", Releases: 2}}
+	if fmt.Sprint(got.counts) != fmt.Sprint(want) {
+		t.Errorf("NamespaceCounts = %v, want %v", got.counts, want)
+	}
+	if got.n != 2 || len(got.entries) != 2 || got.entries[0].Name != "r1" || got.entries[1].Name != "r2" {
+		t.Errorf("Len = %d, List = %+v, want the two live entries", got.n, got.entries)
+	}
+	held := 0
+	for _, sh := range s.shards {
+		held += len(sh.items)
+	}
+	if held != 3 {
+		t.Errorf("shards hold %d entries after the probes, want 3: reads must not sweep", held)
+	}
+}
+
+// gatedEncodeRelease blocks in MarshalJSON until the gate opens,
+// signalling entry: a release whose wire encoding is slow.
+type gatedEncodeRelease struct {
+	*UniversalRelease
+	entered chan struct{}
+	gate    chan struct{}
+	once    sync.Once
+}
+
+func (g *gatedEncodeRelease) MarshalJSON() ([]byte, error) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.gate
+	return g.UniversalRelease.MarshalJSON()
+}
+
+// A durable Put encodes its release before it takes the shard lock, so
+// however long the encode takes, reads of other names on the same shard
+// go through.
+func TestDurablePutEncodesOutsideShardLock(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, WithShards(1), WithoutSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("a", testRelease(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	g := &gatedEncodeRelease{
+		UniversalRelease: testRelease(t, 2).(*UniversalRelease),
+		entered:          make(chan struct{}),
+		gate:             make(chan struct{}),
+	}
+	put := make(chan error, 1)
+	go func() {
+		_, err := s.Put("b", g)
+		put <- err
+	}()
+	<-g.entered
+	got := make(chan bool, 1)
+	go func() {
+		_, _, ok := s.Get("a")
+		got <- ok
+	}()
+	select {
+	case ok := <-got:
+		if !ok {
+			t.Error("Get(a) found nothing")
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Get of another name blocked behind a Put's release encoding")
+	}
+	close(g.gate)
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The journaled put is the wrapper's own encoding, which decodes.
+	re, err := OpenStore(dir, WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if _, _, ok := re.Get("b"); !ok {
+		t.Fatal("b missing after reopen")
 	}
 }
