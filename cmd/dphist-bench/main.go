@@ -24,20 +24,21 @@
 //	serving2d release-store batch rectangle-query throughput against 2-D
 //	          releases: summed-area fast path vs quadtree decomposition
 //	          (engineering)
+//	advisor   auto-strategy resolve+mint latency per workload sketch
+//	          against a direct universal mint, plus the advisor's
+//	          predicted vs measured error (engineering)
 //	ingest    streaming write path: sustained events/sec through the
 //	          sharded ingest pipeline at 1, 4, and 16 shards, plus the
 //	          epoch mint latency over the absorbed data (engineering)
-//	loadtest  end-to-end HTTP serving under mixed traffic: a bounded
-//	          worker pool drives a live server with Zipf-popular query,
-//	          mint, and ingest ops and reports per-class p50/p99 plus
-//	          the saturation QPS, best of 3 repeats (engineering)
 //	reload    durable-store crash recovery time + sharded vs single-mutex
 //	          concurrent Get throughput (engineering)
 //	replication
 //	          cluster mode: replication-log ship throughput into a
-//	          follower, live apply lag, and read fan-out throughput
-//	          through the consistent-hash router at 1, 2, and 4
-//	          replicas (engineering)
+//	          follower, live apply lag, and the per-request cost of a
+//	          query batch through the consistent-hash router with 1, 2,
+//	          and 4 replicas behind it; every replica shares the same
+//	          cores, so these rows time the proxy hop, not scale-out
+//	          (engineering)
 //	compare   CI regression gate: fail when any tracked metric in the
 //	          -json candidate regresses >30% against -baseline
 //	verify    live scorecard of every reproducible paper claim
@@ -50,9 +51,10 @@
 //	-ranges N    random ranges per size for fig6 (default 1000)
 //	-eps LIST    comma-separated epsilons (default 1.0,0.1,0.01)
 //	-scale S     "paper" or "small" workload sizes (default paper)
-//	-json FILE   also write serving/serving2d rows as a machine-readable
-//	             baseline (merging with FILE's existing rows), so CI can
-//	             archive a perf trajectory (BENCH_serving.json)
+//	-json FILE   also write the advisor, serving, serving2d, ingest and
+//	             replication rows as a machine-readable baseline (merging
+//	             with FILE's existing rows), so CI can archive a perf
+//	             trajectory (BENCH_serving.json)
 //	-baseline F  committed baseline for the compare experiment
 package main
 
@@ -78,7 +80,6 @@ import (
 	"github.com/dphist/dphist/internal/cluster"
 	"github.com/dphist/dphist/internal/experiments"
 	"github.com/dphist/dphist/internal/ingest"
-	"github.com/dphist/dphist/internal/loadgen"
 	"github.com/dphist/dphist/internal/replica"
 	"github.com/dphist/dphist/internal/server"
 )
@@ -90,7 +91,7 @@ func main() {
 		ranges   = flag.Int("ranges", 0, "random ranges per size in fig6 (0 = 1000)")
 		epsArg   = flag.String("eps", "", "comma-separated epsilon list (default 1.0,0.1,0.01)")
 		scale    = flag.String("scale", "paper", `workload scale: "paper" or "small"`)
-		jsonTo   = flag.String("json", "", "write serving benchmark rows to this JSON baseline file")
+		jsonTo   = flag.String("json", "", "write advisor/serving/serving2d/ingest/replication rows to this JSON baseline file")
 		baseline = flag.String("baseline", "", "committed BENCH_serving.json to compare against (compare experiment)")
 	)
 	flag.Usage = usage
@@ -136,7 +137,6 @@ func main() {
 		"serving":   func(cfg experiments.Config) { writeServingJSON(*jsonTo, cfg.Seed, *scale, runServing(cfg)) },
 		"serving2d": func(cfg experiments.Config) { writeServingJSON(*jsonTo, cfg.Seed, *scale, runServing2D(cfg)) },
 		"ingest":    func(cfg experiments.Config) { writeServingJSON(*jsonTo, cfg.Seed, *scale, runIngest(cfg)) },
-		"loadtest":  func(cfg experiments.Config) { writeServingJSON(*jsonTo, cfg.Seed, *scale, runLoadtest(cfg)) },
 		"replication": func(cfg experiments.Config) {
 			writeServingJSON(*jsonTo, cfg.Seed, *scale, runReplication(cfg))
 		},
@@ -162,7 +162,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, "usage: dphist-bench [flags] <experiment>\n\n")
-	fmt.Fprintf(os.Stderr, "experiments: fig2 fig3 fig5 fig6 fig7 theorem2 theorem4 blum branching nonneg wavelet 2d advisor serving serving2d ingest loadtest reload replication compare all\n\n")
+	fmt.Fprintf(os.Stderr, "experiments: fig2 fig3 fig5 fig6 fig7 theorem2 theorem4 blum branching nonneg wavelet 2d advisor serving serving2d ingest reload replication compare verify all\n\n")
 	flag.PrintDefaults()
 }
 
@@ -351,16 +351,13 @@ func run2D(cfg experiments.Config) {
 // "batch10k" rows, which time the same release at a batch size past
 // the kernels' parallel crossover.
 type servingRow struct {
-	Experiment      string  `json:"experiment"` // "serving" (1-D) or "serving2d"
+	Experiment      string  `json:"experiment"` // advisor, serving (1-D), serving2d, ingest or replication
 	Release         string  `json:"release"`
 	Mode            string  `json:"mode,omitempty"`
 	Queries         int     `json:"queries"`
 	NsPerQuery      float64 `json:"ns_per_query"`
 	QueriesPerSec   float64 `json:"queries_per_sec"`
 	AllocsPerQuery  float64 `json:"allocs_per_query"`
-	P50Ns           float64 `json:"p50_ns,omitempty"` // loadtest rows only
-	P99Ns           float64 `json:"p99_ns,omitempty"` // loadtest rows only
-	ErrorRate       float64 `json:"error_rate,omitempty"`
 	ElapsedSeconds  float64 `json:"elapsed_seconds"`
 	DomainOrSide    int     `json:"domain"`
 	BatchSize       int     `json:"batch_size"`
@@ -442,8 +439,8 @@ func printServingRows(rows []servingRow) {
 }
 
 // writeServingJSON merges rows into the JSON baseline at path (replacing
-// rows with the same experiment+release key), so `serving` and
-// `serving2d` runs can share one BENCH_serving.json artifact. A no-op
+// rows with the same experiment+release+mode key), so every experiment
+// that writes rows can share one BENCH_serving.json artifact. A no-op
 // when path is empty.
 func writeServingJSON(path string, seed uint64, scale string, rows []servingRow) {
 	if path == "" || len(rows) == 0 {
@@ -691,20 +688,14 @@ const compareTolerance = 0.30
 // a decompose path doubling) clear it by orders of magnitude.
 const nsNoiseFloor = 25.0
 
-// loadtestP99FloorNs guards the loadtest p99 gate the same way: a
-// closed-loop saturation p99 of a few milliseconds jitters with the
-// runner's scheduler, so a regression must move by an absolute 2ms on
-// top of the 30% before it fails the build.
-const loadtestP99FloorNs = 2e6
-
 // runCompare is the CI regression gate: it loads the committed baseline
 // and a freshly measured candidate (the -json file the serving runs
 // just wrote) and fails — exit 1 — when any tracked metric regresses by
 // more than compareTolerance. Tracked per (experiment, release, mode)
-// row: ns_per_query and allocs_per_query (higher is worse; allocs get
-// an absolute 0.25 guard so float dust near zero cannot flake) and
-// hit_ratio (lower is worse). A baseline row missing from the candidate
-// is a dropped metric and also fails.
+// row: ns_per_query (higher is worse, past the nsNoiseFloor guard) and
+// allocs_per_query (higher is worse; allocs get an absolute 0.25 guard
+// so float dust near zero cannot flake). A baseline row missing from
+// the candidate is a dropped metric and also fails.
 func runCompare(baselinePath, candidatePath string) {
 	if baselinePath == "" || candidatePath == "" {
 		fatalf("compare needs -baseline OLD.json and -json NEW.json")
@@ -752,18 +743,6 @@ func runCompare(baselinePath, candidatePath string) {
 		if !ok {
 			fmt.Fprintf(w, "%s\t(row)\t-\t-\t-\tMISSING\t\n", label)
 			failures++
-			continue
-		}
-		if b.Experiment == "loadtest" {
-			// Loadtest rows carry wall-clock quantiles and throughput, not
-			// per-query ns/allocs: gate p99 (higher is worse, with the
-			// absolute floor) and achieved QPS (lower is worse).
-			if b.P99Ns > 0 {
-				check(label, "p99_ns", b.P99Ns, c.P99Ns,
-					c.P99Ns > b.P99Ns*(1+compareTolerance) && c.P99Ns-b.P99Ns > loadtestP99FloorNs)
-			}
-			check(label, "queries_per_sec", b.QueriesPerSec, c.QueriesPerSec,
-				c.QueriesPerSec < b.QueriesPerSec*(1-compareTolerance))
 			continue
 		}
 		check(label, "ns_per_query", b.NsPerQuery, c.NsPerQuery,
@@ -900,8 +879,10 @@ func runIngest(cfg experiments.Config) []servingRow {
 // replication log ships a primary's minted state into a follower over
 // HTTP (records/sec through snapshot + stream + Apply), how far a live
 // follower trails a minting primary (printed, not gated — it is a
-// latency, not a throughput), and what read fan-out through the
-// consistent-hash router buys as replicas are added.
+// latency, not a throughput), and what a query batch costs through the
+// consistent-hash router with 1, 2 and 4 replicas behind it. Every
+// replica runs in this process on the same cores, so the router rows
+// time the proxy hop, not read scale-out.
 func runReplication(cfg experiments.Config) []servingRow {
 	domain := 256
 	mints := 4096
@@ -1035,8 +1016,8 @@ func runReplication(cfg experiments.Config) []servingRow {
 		time.Duration(bestShip.ElapsedSeconds*float64(time.Second)).Round(time.Millisecond), bestShip.QueriesPerSec)
 	rows = append(rows, bestShip)
 
-	// Router fan-out: the same query batch mix pushed through the router
-	// by concurrent clients, over 1, 2, and 4 replicas of one shard.
+	// Router hop: the same query batch pushed through the router by
+	// concurrent clients, over 1, 2, and 4 replicas of one shard.
 	followerURLs := make([]string, len(followers))
 	for i, f := range followers {
 		fs, err := server.New(server.Config{Store: f, Follower: true, Seed: cfg.Seed})
@@ -1099,7 +1080,7 @@ func runReplication(cfg experiments.Config) []servingRow {
 			queries := (routerBatches / clients) * clients * batchSize
 			return servingRow{
 				Experiment:      "replication",
-				Release:         "router-replicas-" + strconv.Itoa(replicas),
+				Release:         "router-hop-replicas-" + strconv.Itoa(replicas),
 				Queries:         queries,
 				NsPerQuery:      float64(elapsed.Nanoseconds()) / float64(queries),
 				QueriesPerSec:   float64(queries) / elapsed.Seconds(),
@@ -1364,187 +1345,6 @@ func runAdvisor(cfg experiments.Config) []servingRow {
 		measured := total / float64(trials)
 		fmt.Fprintf(w, "%s\t%s\t%s\t%.4g\t%.4g\t%.3f\t\n",
 			c.name, dec.Strategy, dec.Confidence, dec.PredictedError, measured, measured/dec.PredictedError)
-	}
-	w.Flush()
-	return rows
-}
-
-// runLoadtest measures serving the way production sees it: a live HTTP
-// server (in-process listener, real sockets) under a bounded worker
-// pool driving a mixed query/mint/ingest load with Zipf release
-// popularity and correlated range endpoints. Per op class it reports
-// p50/p99 wall-clock latency and achieved throughput; the all-classes
-// QPS of an unthrottled run is the saturation row. Each configuration
-// runs three times and each metric keeps its best observation (min
-// quantile, max QPS) — the repeats bound scheduler noise, which is why
-// these rows can sit under the same 30% compare gate as the
-// micro-rows.
-func runLoadtest(cfg experiments.Config) []servingRow {
-	domain := 1 << 10
-	side := 64
-	duration := 4 * time.Second
-	warmup := time.Second
-	workers := 8
-	const repeats = 3
-	if cfg.Scale == experiments.ScaleSmall {
-		duration = 1200 * time.Millisecond
-		warmup = 300 * time.Millisecond
-	}
-	counts := make([]float64, domain)
-	for i := range counts {
-		counts[i] = float64(i % 23)
-	}
-	cells := make([][]float64, side)
-	for y := range cells {
-		row := make([]float64, side)
-		for x := range row {
-			row[x] = float64((x + y) % 13)
-		}
-		cells[y] = row
-	}
-	store := dphist.NewStore(dphist.WithBudget(1e9))
-	in, err := ingest.New(ingest.Config{
-		Store:     store,
-		Mechanism: dphist.MustNew(dphist.WithSeed(cfg.Seed + 1)),
-		Domain:    domain,
-		Epoch:     time.Hour, // far out: the run measures serving, not epoch mints
-		Epsilon:   0.01,
-		Shards:    4,
-		Seed:      cfg.Seed + 2,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	in.Start()
-	defer in.Close()
-	srv, err := server.New(server.Config{
-		Counts: counts, Cells: cells, Store: store, Seed: cfg.Seed, Ingester: in,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// A popularity spread for the Zipf to bite on: discovery order is
-	// mint order, so "hot" takes the bulk of the query traffic.
-	for _, mint := range []string{
-		`{"name":"hot","strategy":"universal","epsilon":0.1}`,
-		`{"name":"grid","strategy":"universal2d","epsilon":0.1}`,
-		`{"name":"warm","strategy":"laplace","epsilon":0.1}`,
-		`{"name":"cold","strategy":"wavelet","epsilon":0.1}`,
-	} {
-		resp, err := ts.Client().Post(ts.URL+"/v1/releases", "application/json", strings.NewReader(mint))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			fatalf("loadtest mint failed: %s", resp.Status)
-		}
-	}
-	targets, err := loadgen.Discover(ts.Client(), ts.URL, "")
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	fmt.Printf("== HTTP loadtest: %d workers, %v measured after %v warmup, best of %d (domain %d, %dx%d grid) ==\n",
-		workers, duration, warmup, repeats, domain, side, side)
-	lcfg := loadgen.Config{
-		BaseURL:      ts.URL,
-		Targets:      targets,
-		Workers:      workers,
-		Duration:     duration,
-		Warmup:       warmup,
-		QueryWeight:  0.85,
-		MintWeight:   0.10,
-		IngestWeight: 0.05,
-		Batch:        8,
-		Correlation:  0.6,
-		MintEpsilon:  0.0001,
-		Client:       ts.Client(),
-	}
-	// best-of-repeats accumulators, keyed by op class plus the
-	// saturation total.
-	type best struct {
-		p50, p99 float64
-		qps      float64
-		ops      int64
-		errs     int64
-	}
-	classes := map[string]*best{}
-	var satQPS float64
-	for r := 0; r < repeats; r++ {
-		lcfg.Seed = cfg.Seed + uint64(r) + 1
-		rep, err := loadgen.Run(lcfg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if rep.QPS > satQPS {
-			satQPS = rep.QPS
-		}
-		for _, c := range rep.Classes {
-			b := classes[c.Op]
-			if b == nil {
-				b = &best{p50: float64(c.P50Ns), p99: float64(c.P99Ns)}
-				classes[c.Op] = b
-			}
-			if v := float64(c.P50Ns); v < b.p50 {
-				b.p50 = v
-			}
-			if v := float64(c.P99Ns); v < b.p99 {
-				b.p99 = v
-			}
-			if c.QPS > b.qps {
-				b.qps = c.QPS
-			}
-			b.ops += c.Ops
-			b.errs += c.Errors
-		}
-	}
-
-	var rows []servingRow
-	for _, op := range []string{"query", "mint", "ingest"} {
-		b := classes[op]
-		if b == nil {
-			continue
-		}
-		row := servingRow{
-			Experiment:     "loadtest",
-			Release:        op + "-mixed",
-			Queries:        int(b.ops),
-			QueriesPerSec:  b.qps,
-			P50Ns:          b.p50,
-			P99Ns:          b.p99,
-			ElapsedSeconds: duration.Seconds() * repeats,
-			DomainOrSide:   domain,
-			BatchSize:      lcfg.Batch,
-		}
-		if b.ops > 0 {
-			row.ErrorRate = float64(b.errs) / float64(b.ops)
-		}
-		rows = append(rows, row)
-	}
-	rows = append(rows, servingRow{
-		Experiment:     "loadtest",
-		Release:        "saturation",
-		QueriesPerSec:  satQPS,
-		ElapsedSeconds: duration.Seconds() * repeats,
-		DomainOrSide:   domain,
-		BatchSize:      lcfg.Batch,
-	})
-
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(w, "row\tops\terr rate\tp50\tp99\tops/sec\t\n")
-	for _, r := range rows {
-		p50, p99 := "-", "-"
-		if r.P99Ns > 0 {
-			p50 = fmt.Sprintf("%.3fms", r.P50Ns/1e6)
-			p99 = fmt.Sprintf("%.3fms", r.P99Ns/1e6)
-		}
-		fmt.Fprintf(w, "%s\t%d\t%.4f\t%s\t%s\t%.0f\t\n",
-			r.Release, r.Queries, r.ErrorRate, p50, p99, r.QueriesPerSec)
 	}
 	w.Flush()
 	return rows

@@ -306,16 +306,8 @@
 // through an integer fast path. All of these writers share the
 // internal/jsonw primitives and produce exactly json.Marshal's bytes.
 //
-// cmd/dphist-loadgen measures that path under production-shaped load:
-// a bounded worker pool over real sockets, Zipf popularity across
-// stored releases, correlated range endpoints, and a weighted
-// query/mint/ingest mix, reporting p50/p99/p99.9 per op class from
-// allocation-free log-linear histograms. Unthrottled (-qps 0) the
-// achieved QPS is the closed-loop saturation throughput and the
-// quantiles include queueing; paced (-qps N) they read service latency
-// at a fixed arrival rate. dphist-bench loadtest commits the same
-// measurements to BENCH_serving.json, where CI gates p99 and
-// saturation QPS against the committed baseline.
+// servebench/ measures the deployed server end to end, checking every
+// answer against the decoded release.
 //
 // Baselines from the paper are included for comparison: the
 // sort-and-round estimator S~r (UnattributedRelease.SortRoundBaseline)

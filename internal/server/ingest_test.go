@@ -13,7 +13,7 @@ import (
 
 // newIngestServer wires a server whose store is shared with a live
 // ingest pipeline, epoch interval long enough that only explicit Flush
-// calls mint.
+// calls mint. Its 4x2 grid makes universal2d servable.
 func newIngestServer(t *testing.T, mutate func(*ingest.Config)) (*httptest.Server, *ingest.Ingester, *dphist.Store) {
 	t.Helper()
 	store := dphist.NewStore(dphist.WithBudget(100))
@@ -41,6 +41,7 @@ func newIngestServer(t *testing.T, mutate func(*ingest.Config)) (*httptest.Serve
 	t.Cleanup(func() { in.Close() })
 	s, err := New(Config{
 		Counts:   []float64{1, 1, 1, 1, 1, 1, 1, 1},
+		Cells:    [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}},
 		Store:    store,
 		Seed:     7,
 		Ingester: in,

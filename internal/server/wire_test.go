@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -334,50 +333,90 @@ func TestQueryScratchNoAliasing(t *testing.T) {
 
 // --- concurrent query storm (run with -race) ---
 
+// TestConcurrentQueryStorm drives one server with concurrent 1-D
+// queries, re-mints of the queried name, ingest batches into the
+// pipeline that shares its store, and 2-D queries. Every reply must
+// carry its expected status, and every re-mint must land.
 func TestConcurrentQueryStorm(t *testing.T) {
-	ts := newTestServer(t, 4.0)
-	if resp, body := postJSON(t, ts, "/v1/releases",
-		`{"name":"t","strategy":"universal","epsilon":0.5}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("mint: %d %s", resp.StatusCode, body)
+	ts, _, _ := newIngestServer(t, nil)
+	for _, mint := range []string{
+		`{"name":"t","strategy":"universal","epsilon":0.5}`,
+		`{"name":"grid","strategy":"universal2d","epsilon":0.5}`,
+	} {
+		if resp, body := postJSON(t, ts, "/v1/releases", mint); resp.StatusCode != http.StatusOK {
+			t.Fatalf("mint: %d %s", resp.StatusCode, body)
+		}
 	}
-	bodies := []struct {
-		payload string
-		status  int
-	}{
-		{`{"name":"t","ranges":[{"lo":0,"hi":8}]}`, http.StatusOK},
-		{`{"name":"t","ranges":[{"lo":1,"hi":2},{"lo":3,"hi":7}]}`, http.StatusOK},
-		{`{"name":"t","ranges":[]}`, http.StatusOK},
-		{`{"name":"missing","ranges":[{"lo":0,"hi":1}]}`, http.StatusNotFound},
-		{`{"name":"t","ranges":[{"lo":"x"}]}`, http.StatusBadRequest},
-		{`{"name":"t","ranges":[{"lo":5,"hi":2}]}`, http.StatusBadRequest},
+	type call struct {
+		path, payload string
+		status        int
 	}
-	const workers, perWorker = 8, 40
+	queries := []call{
+		{"/v1/query", `{"name":"t","ranges":[{"lo":0,"hi":8}]}`, http.StatusOK},
+		{"/v1/query", `{"name":"t","ranges":[{"lo":1,"hi":2},{"lo":3,"hi":7}]}`, http.StatusOK},
+		{"/v1/query", `{"name":"t","ranges":[]}`, http.StatusOK},
+		{"/v1/query", `{"name":"missing","ranges":[{"lo":0,"hi":1}]}`, http.StatusNotFound},
+		{"/v1/query", `{"name":"t","ranges":[{"lo":"x"}]}`, http.StatusBadRequest},
+		{"/v1/query", `{"name":"t","ranges":[{"lo":5,"hi":2}]}`, http.StatusBadRequest},
+	}
+	// Re-mints swap the plan the query workers read, alternating
+	// strategies so consecutive versions differ in shape.
+	remints := []call{
+		{"/v1/releases", `{"name":"t","strategy":"laplace","epsilon":0.01}`, http.StatusOK},
+		{"/v1/releases", `{"name":"t","strategy":"universal","epsilon":0.01}`, http.StatusOK},
+	}
+	ingests := []call{
+		{"/v1/ingest", `{"events":[{"stream":"clicks","bucket":1},{"stream":"views","bucket":7,"weight":3}]}`, http.StatusOK},
+		{"/v1/ingest", `{"events":[{"stream":"clicks","bucket":99}]}`, http.StatusOK}, // dropped, not refused
+		{"/v1/ingest", `{"events":[]}`, http.StatusBadRequest},
+	}
+	rects := []call{
+		{"/v1/query2d", `{"name":"grid","rects":[{"x0":0,"y0":0,"x1":4,"y1":2}]}`, http.StatusOK},
+		{"/v1/query2d", `{"name":"grid","rects":[{"x0":1,"y0":0,"x1":3,"y1":1},{"x0":2,"y0":1,"x1":2,"y1":1}]}`, http.StatusOK},
+		{"/v1/query2d", `{"name":"t","rects":[{"x1":1,"y1":1}]}`, http.StatusBadRequest},
+	}
+	const perWorker = 40
+	pools := []struct {
+		calls   []call
+		workers int
+	}{{queries, 8}, {remints, 2}, {ingests, 2}, {rects, 2}}
 	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				tc := bodies[(w+i)%len(bodies)]
-				resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(tc.payload))
-				if err != nil {
-					errs <- err
-					return
+	for _, p := range pools {
+		for w := 0; w < p.workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					c := p.calls[(w+i)%len(p.calls)]
+					resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.payload))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != c.status {
+						t.Errorf("%s %q: status %d, want %d", c.path, c.payload, resp.StatusCode, c.status)
+						return
+					}
 				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != tc.status {
-					errs <- fmt.Errorf("payload %q: status %d, want %d", tc.payload, resp.StatusCode, tc.status)
-					return
-				}
-			}
-		}(w)
+			}()
+		}
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
+	if t.Failed() {
+		return
+	}
+	resp, body := postJSON(t, ts, "/v1/query", `{"name":"t","ranges":[{"lo":0,"hi":8}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query after storm: %d %s", resp.StatusCode, body)
+	}
+	var qr queryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
+	}
+	if want := 1 + 2*perWorker; qr.Version != want { // the first mint plus both re-mint workers' mints
+		t.Fatalf("version after storm = %d, want %d", qr.Version, want)
 	}
 }
 
