@@ -20,9 +20,11 @@
 //	wavelet   Haar wavelet (Xiao et al.) vs H~ and H-bar
 //	2d        2D universal histograms (Appendix B extension)
 //	serving   release-store batch range-query throughput, one row per
-//	          strategy at 1,000- and 10,000-range batches (engineering)
+//	          strategy at 1,000- and 10,000-range batches, plus a
+//	          10,000-range batch through the HTTP handler (engineering)
 //	serving2d release-store batch rectangle-query throughput against 2-D
-//	          releases: summed-area fast path vs quadtree decomposition
+//	          releases: summed-area fast path vs quadtree decomposition,
+//	          plus a 10,000-rectangle batch through the HTTP handler
 //	          (engineering)
 //	advisor   auto-strategy resolve+mint latency per workload sketch
 //	          against a direct universal mint, plus the advisor's
@@ -349,7 +351,8 @@ func run2D(cfg experiments.Config) {
 // changes have a perf trajectory to compare against. Rows are keyed by
 // (experiment, release, mode); the mode is empty except on the
 // "batch10k" rows, which time the same release at a batch size past
-// the kernels' parallel crossover.
+// the kernels' parallel crossover, and the "http10k" rows, which time
+// that batch through the server's query handler.
 type servingRow struct {
 	Experiment      string  `json:"experiment"` // advisor, serving (1-D), serving2d, ingest or replication
 	Release         string  `json:"release"`
@@ -418,6 +421,39 @@ func timeBatches(experiment, release string, domain, batchSize, batches int, que
 		BatchesMeasured: batches,
 	}
 }
+
+// timeHTTP times POST path with body through h.ServeHTTP in process, in
+// timeBatches windows: body read, request parse, plan kernels and reply
+// encode, with no network. The body is rewound for every request and
+// the reply discarded, so the row charges the handler alone.
+func timeHTTP(experiment, release string, domain, batchSize, batches int, h http.Handler, path string, body []byte) servingRow {
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, path, nil)
+	req.Body = io.NopCloser(rd)
+	req.ContentLength = int64(len(body))
+	w := &discardResponse{header: http.Header{}}
+	row := timeBatches(experiment, release, domain, batchSize, batches, func() error {
+		rd.Reset(body)
+		w.status = 0
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			return fmt.Errorf("%s/%s: POST %s: HTTP %d", experiment, release, path, w.status)
+		}
+		return nil
+	})
+	row.Mode = "http10k"
+	return row
+}
+
+// discardResponse is an http.ResponseWriter that keeps only the status.
+type discardResponse struct {
+	header http.Header
+	status int
+}
+
+func (w *discardResponse) Header() http.Header         { return w.header }
+func (w *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardResponse) WriteHeader(status int)      { w.status = status }
 
 // releaseLabel names a row's release, suffixed with its mode when set.
 func (r servingRow) releaseLabel() string {
@@ -590,6 +626,18 @@ func runServing(cfg experiments.Config) []servingRow {
 		row.Mode = "batch10k"
 		rows = append(rows, row)
 	}
+	// The same batch as a POST /v1/query body, the bytes clients send,
+	// so the gate sees the wire parser and the reply encoder too.
+	srv, err := server.New(server.Config{Counts: counts, Store: store})
+	if err != nil {
+		fatalf("%v", err)
+	}
+	body, err := json.Marshal(map[string]any{"name": "universal", "ranges": bigSpecs})
+	if err != nil {
+		fatalf("%v", err)
+	}
+	rows = append(rows, timeHTTP("serving", "universal", domain, bigBatch, bigBatches,
+		srv.Handler(), "/v1/query", body))
 	printServingRows(rows)
 	return rows
 }
@@ -673,6 +721,17 @@ func runServing2D(cfg experiments.Config) []servingRow {
 		row.Mode = "batch10k"
 		rows = append(rows, row)
 	}
+	// The server needs a 1-D histogram too; the grid's rows serve.
+	srv, err := server.New(server.Config{Counts: slices.Concat(cells...), Cells: cells, Store: store})
+	if err != nil {
+		fatalf("%v", err)
+	}
+	body, err := json.Marshal(map[string]any{"name": "quadtree", "rects": bigRects})
+	if err != nil {
+		fatalf("%v", err)
+	}
+	rows = append(rows, timeHTTP("serving2d", "quadtree", side, bigBatch, bigBatches,
+		srv.Handler(), "/v1/query2d", body))
 	printServingRows(rows)
 	return rows
 }

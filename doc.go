@@ -294,7 +294,10 @@
 // answers flow through Namespace.QueryInto into pooled result slices,
 // and the response is encoded with an append-based writer that matches
 // json.Encoder byte for byte. The one remaining allocation is the
-// Content-Type header write inside net/http.
+// Content-Type header write inside net/http. Spec elements written
+// exactly as json.Marshal writes them ({"lo":D,"hi":D}, no whitespace)
+// take a fast path about four times faster than the general parser,
+// which decodes every element that differs from its first byte.
 //
 // The mint path formats each release once per destination with
 // AppendRelease, the one encoder behind every MarshalJSON: the server

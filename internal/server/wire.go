@@ -23,6 +23,22 @@
 // stricter than a generic decoder it is stricter on purpose: a spec
 // batch larger than the route cap fails during parsing, before the
 // oversized tail is even scanned.
+//
+// Spec arrays try an exact-shape fast path first. servebench and
+// json.Marshal of []RangeSpec and []RectSpec write every element as
+// {"lo":D,"hi":D} or {"x0":D,"y0":D,"x1":D,"y1":D}, with no whitespace,
+// and the router forwards those bytes unchanged. exactRanges and
+// exactRects parse runs of such elements, D being 1 to 18 digits
+// without a leading zero, which cannot overflow an int, about 4x faster
+// than the general parser (the parse-only cases of
+// BenchmarkServerQueryHTTP and BenchmarkServerQuery2DHTTP). Every other
+// element, from its first byte on, goes to the general parser, which
+// stays as it was. This keeps the encoding/json equivalence. The fast
+// path takes only bytes that the general parser would decode without
+// error into the same spec, both fields written. Whitespace, other key
+// spellings, signs, fractions, exponents, long numbers and malformed
+// elements take the general path, and so do their errors with their
+// element indices. Both paths check the spec cap before each element.
 package server
 
 import (
@@ -682,6 +698,10 @@ func (p *wireParser) parseRangeSpecs(sc *queryScratch, maxSpecs int, st *specSta
 		if n >= maxSpecs {
 			return fmt.Errorf("batch exceeds limit of %d ranges", maxSpecs)
 		}
+		taken := n
+		if specs, n = p.exactRanges(specs, n, maxSpecs); n > taken {
+			continue
+		}
 		var spec dphist.RangeSpec
 		if n < len(specs) {
 			spec = specs[n]
@@ -890,6 +910,10 @@ func (p *wireParser) parseRectSpecs(sc *queryScratch, maxSpecs int, st *specStat
 		if n >= maxSpecs {
 			return fmt.Errorf("batch exceeds limit of %d rectangles", maxSpecs)
 		}
+		taken := n
+		if rects, n = p.exactRects(rects, n, maxSpecs); n > taken {
+			continue
+		}
 		var spec dphist.RectSpec
 		if n < len(rects) {
 			spec = rects[n]
@@ -969,6 +993,106 @@ func (p *wireParser) parseRectSpec(sc *queryScratch, i int, spec *dphist.RectSpe
 		}
 		*dst = v
 	}
+}
+
+// --- exact-shape fast path ---
+
+// exactRanges parses the run of ranges elements at the cursor written
+// exactly as {"lo":D,"hi":D} and separated by bare commas. It stores
+// them from specs[n] on, writing both fields of each, as parseRangeSpec
+// would for the same bytes, and stops before maxSpecs. It returns the
+// grown slice and count, with the cursor just past the last element it
+// took. An element it does not take is left unread, from its first byte
+// (or the comma before it), for the general parser, which decodes it
+// and reports errors exactly as before.
+func (p *wireParser) exactRanges(specs []dphist.RangeSpec, n, maxSpecs int) ([]dphist.RangeSpec, int) {
+	s, i := p.data, p.pos
+	for n < maxSpecs && i < len(s) && s[i] == '{' {
+		lo, j := exactField(s, i+1, "lo", ',')
+		hi, k := exactField(s, j, "hi", '}')
+		if j == 0 || k == 0 {
+			break
+		}
+		spec := dphist.RangeSpec{Lo: lo, Hi: hi}
+		if n < len(specs) {
+			specs[n] = spec
+		} else {
+			specs = append(specs, spec)
+		}
+		n++
+		p.pos = k
+		if k == len(s) || s[k] != ',' {
+			break
+		}
+		i = k + 1
+	}
+	return specs, n
+}
+
+// exactRects is exactRanges for {"x0":D,"y0":D,"x1":D,"y1":D}.
+func (p *wireParser) exactRects(rects []dphist.RectSpec, n, maxSpecs int) ([]dphist.RectSpec, int) {
+	s, i := p.data, p.pos
+	for n < maxSpecs && i < len(s) && s[i] == '{' {
+		x0, j := exactField(s, i+1, "x0", ',')
+		y0, k := exactField(s, j, "y0", ',')
+		x1, l := exactField(s, k, "x1", ',')
+		y1, m := exactField(s, l, "y1", '}')
+		if j == 0 || k == 0 || l == 0 || m == 0 {
+			break
+		}
+		spec := dphist.RectSpec{X0: x0, Y0: y0, X1: x1, Y1: y1}
+		if n < len(rects) {
+			rects[n] = spec
+		} else {
+			rects = append(rects, spec)
+		}
+		n++
+		p.pos = m
+		if m == len(s) || s[m] != ',' {
+			break
+		}
+		i = m + 1
+	}
+	return rects, n
+}
+
+// maxExactDigits bounds the fast path's numbers: 18 decimal digits stay
+// below 10^18 < 2^63, so no digit needs an overflow check.
+const maxExactDigits = 18
+
+// exactField matches "key":D followed by the byte term at s[at:], for a
+// two-byte key, and returns D and the offset just past term. D is 1 to
+// maxExactDigits ASCII digits with no leading zero beyond a lone 0.
+// Anything else (whitespace, a sign, a fraction or exponent, a 19th
+// digit, an escaped or differently cased key) returns offset 0, and so
+// does at == 0, which lets callers chain fields and check once.
+func exactField(s []byte, at int, key string, term byte) (int, int) {
+	if at == 0 {
+		return 0, 0
+	}
+	s = s[at:]
+	if len(s) < len(`"xx":0,`) || s[0] != '"' || s[1] != key[0] || s[2] != key[1] || s[3] != '"' || s[4] != ':' {
+		return 0, 0
+	}
+	d := s[len(`"xx":`):]
+	if d[0] == '0' {
+		if d[1] != term {
+			return 0, 0
+		}
+		return 0, at + len(`"xx":0,`)
+	}
+	v, n := 0, 0
+	for ; n < len(d) && n < maxExactDigits; n++ {
+		c := d[n] - '0'
+		if c > 9 {
+			break
+		}
+		v = v*10 + int(c)
+	}
+	if n == 0 || n == len(d) || d[n] != term {
+		return 0, 0
+	}
+	return v, at + len(`"xx":`) + n + 1
 }
 
 // --- response encoding ---

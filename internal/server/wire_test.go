@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -150,6 +152,98 @@ var queryParseCorpus = []string{
 	`{"name":"\u12"}`,
 	`{5:1}`,
 	`{"":1}`,
+	// The exact-shape fast path ({"lo":D,"hi":D}, D of 1-18 digits, no
+	// whitespace) and every way a body can leave it for the general
+	// parser. Digit counts: 18 digits never overflow; 19 and 20 digits
+	// fall back, which accepts int64 and rejects the rest.
+	`{"name":"t","ranges":[{"lo":0,"hi":0}]}`,
+	`{"ranges":[{"lo":999999999999999999,"hi":999999999999999999}]}`,
+	`{"ranges":[{"lo":1000000000000000000,"hi":9223372036854775807}]}`,
+	`{"ranges":[{"lo":9999999999999999999,"hi":0}]}`,
+	`{"ranges":[{"lo":0,"hi":1000000000000000000}]}`,
+	`{"ranges":[{"lo":9223372036854775807,"hi":0}]}`,
+	`{"ranges":[{"lo":0,"hi":18446744073709551616}]}`,
+	`{"ranges":[{"lo":18446744073709551616,"hi":0}]}`,
+	// Number forms the fast path hands on: leading zeros, a fraction or
+	// exponent after an exact prefix, negatives.
+	`{"ranges":[{"lo":00,"hi":1}]}`,
+	`{"ranges":[{"lo":01,"hi":1}]}`,
+	`{"ranges":[{"lo":0,"hi":01}]}`,
+	`{"ranges":[{"lo":1,"hi":2.0}]}`,
+	`{"ranges":[{"lo":1,"hi":2e0}]}`,
+	`{"ranges":[{"lo":1E0,"hi":2}]}`,
+	`{"ranges":[{"lo":0.5,"hi":2}]}`,
+	`{"ranges":[{"lo":-1,"hi":2}]}`,
+	`{"ranges":[{"lo":-0,"hi":2}]}`,
+	`{"ranges":[{"lo":0,"hi":-1}]}`,
+	// A lone 0 followed by a byte other than the separator.
+	`{"ranges":[{"lo":0 "hi":1}]}`,
+	`{"ranges":[{"lo":1,"hi":0]}]}`,
+	// An exact prefix followed by more keys.
+	`{"ranges":[{"lo":1,"hi":2,"lo":3}]}`,
+	`{"ranges":[{"lo":1,"hi":2,"x":null}]}`,
+	`{"ranges":[{"lo":1,"hi":2,"hi":null}]}`,
+	// One space in each possible place.
+	`{"ranges":[{ "lo":1,"hi":2}]}`,
+	`{"ranges":[{"lo" :1,"hi":2}]}`,
+	`{"ranges":[{"lo": 1,"hi":2}]}`,
+	`{"ranges":[{"lo":1 ,"hi":2}]}`,
+	`{"ranges":[{"lo":1, "hi":2}]}`,
+	`{"ranges":[{"lo":1,"hi" :2}]}`,
+	`{"ranges":[{"lo":1,"hi": 2}]}`,
+	`{"ranges":[{"lo":1,"hi":2 }]}`,
+	`{"ranges":[{"lo":1,"hi":2} ,{"lo":3,"hi":4}]}`,
+	`{"ranges":[{"lo":1,"hi":2}, {"lo":3,"hi":4}]}`,
+	// Other key cases and an escaped key.
+	`{"ranges":[{"lo":1,"HI":2}]}`,
+	`{"ranges":[{"Lo":1,"hi":2}]}`,
+	`{"ranges":[{"l\u006f":1,"hi":2}]}`,
+	`{"ranges":[{"la":1,"hi":2}]}`,
+	`{"ranges":[{"lo":1,"ha":2}]}`,
+	`{"ranges":[{"lo_:1,"hi":2}]}`,
+	`{"ranges":[{"hi":2,"lo":1}]}`,
+	// Truncations inside and right after an exact element.
+	`{"ranges":[{"lo":1,"hi":2`,
+	`{"ranges":[{"lo":1,"hi":`,
+	`{"ranges":[{"lo":12`,
+	`{"ranges":[{"lo":0`,
+	`{"ranges":[{"lo":0,`,
+	`{"ranges":[{"lo":1,"hi":2}`,
+	`{"ranges":[{"lo":1,"hi":2},`,
+	// Exact and spaced elements alternating in one array.
+	`{"ranges":[{"lo":1,"hi":2},{ "lo":3,"hi":4},{"lo":5,"hi":6},{"lo":7 ,"hi":8},{"lo":9,"hi":10},null,{"lo":11,"hi":12}]}`,
+	// Duplicate ranges keys: a shorter exact-shaped array decodes over
+	// the first array's slots, and a later array re-grows into them.
+	`{"ranges":[{"lo":1,"hi":2},{"lo":3,"hi":4},{"lo":5}],"ranges":[{"lo":7,"hi":8}]}`,
+	`{"ranges":[{"lo":1,"hi":2},{"lo":3,"hi":4},{"lo":5}],"ranges":[{"lo":7,"hi":8}],"ranges":[{},{},{}]}`,
+	`{"ranges":[{"lo":1},{"hi":4}],"ranges":[{"lo":7,"hi":8},{"lo":9,"hi":10}],"ranges":[{"hi":11},{}]}`,
+}
+
+// rectParseCorpus is queryParseCorpus for rectangle-shaped bodies; the
+// fuzz target seeds its 2-D half with it too.
+var rectParseCorpus = []string{
+	`{"name":"g","rects":[{"x0":0,"y0":0,"x1":2,"y1":2}]}`,
+	`{"name":"g","rects":[{"X0":1,"Y1":3}]}`,
+	`{"rects":[{"x0":1,"x0":2}],"rects":[{}]}`,
+	`{"rects":[{"x0":"no"}]}`,
+	`{"rects":[null,{"y0":1}]}`,
+	// The exact shape, and the ways a body leaves it.
+	`{"name":"g","rects":[{"x0":1,"y0":2,"x1":3,"y1":4},{"x0":0,"y0":0,"x1":999999999999999999,"y1":10}]}`,
+	`{"rects":[{"y0":2,"x0":1,"x1":3,"y1":4}]}`,
+	`{"rects":[{"x0":1,"y0":2,"x1":3}]}`,
+	`{"rects":[{"x0":1,"y0":2,"x1":3,"y1":4,"x0":9}]}`,
+	`{"rects":[{"x0":1,"y0":2,"x1":3,"y1":1000000000000000000}]}`,
+	`{"rects":[{"x0":1,"y0":2,"x1":3,"y1":18446744073709551616}]}`,
+	`{"rects":[{"x0":1,"y0":02,"x1":3,"y1":4}]}`,
+	`{"rects":[{"x0":1,"y0":2,"x1":-3,"y1":4}]}`,
+	`{"rects":[{"x0":1,"y0":2,"x1":3,"y1":4.0}]}`,
+	`{"rects":[{"x0":1,"y0":2,"x1" :3,"y1":4}]}`,
+	`{"rects":[{"x0":1,"y0":2,"x1":3,"Y1":4}]}`,
+	`{"rects":[{"x0":1,"y0":2,"x1":3,"yy":4}]}`,
+	`{"rects":[{"x0":0 "y0":0,"x1":1,"y1":1}]}`,
+	`{"rects":[{"x0":1,"y0":2,"x1":3,"y1":4`,
+	`{"rects":[{"x0":1,"y0":2,"x1":3,"y1":4},{ "x0":5,"y0":6,"x1":7,"y1":8},{"x0":9,"y0":9,"x1":9,"y1":9}]}`,
+	`{"rects":[{"x0":1,"y0":2,"x1":3,"y1":4},{"x1":5}],"rects":[{"x0":7,"y0":7,"x1":8,"y1":8}],"rects":[{},{}]}`,
 }
 
 func TestQueryParseEquivalenceCorpus(t *testing.T) {
@@ -157,14 +251,7 @@ func TestQueryParseEquivalenceCorpus(t *testing.T) {
 		checkQueryParse(t, []byte(in), maxQueryRanges)
 		checkQuery2DParse(t, []byte(in), maxQueryRanges)
 	}
-	// Rect-shaped cases with all four corner fields.
-	for _, in := range []string{
-		`{"name":"g","rects":[{"x0":0,"y0":0,"x1":2,"y1":2}]}`,
-		`{"name":"g","rects":[{"X0":1,"Y1":3}]}`,
-		`{"rects":[{"x0":1,"x0":2}],"rects":[{}]}`,
-		`{"rects":[{"x0":"no"}]}`,
-		`{"rects":[null,{"y0":1}]}`,
-	} {
+	for _, in := range rectParseCorpus {
 		checkQuery2DParse(t, []byte(in), maxQueryRanges)
 	}
 }
@@ -178,7 +265,9 @@ func FuzzQueryRequestParse(f *testing.F) {
 		f.Add([]byte(in), false)
 		f.Add([]byte(in), true)
 	}
-	f.Add([]byte(`{"name":"g","rects":[{"x0":0,"y0":0,"x1":2,"y1":2}]}`), true)
+	for _, in := range rectParseCorpus {
+		f.Add([]byte(in), true)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, twoD bool) {
 		// The route cap is part of the handler, not the grammar; lift it
 		// so equivalence is judged against plain json.Unmarshal.
@@ -503,17 +592,19 @@ func (b *replayBody) Read(p []byte) (int, error) {
 }
 func (b *replayBody) Close() error { return nil }
 
-// newQueryBenchServer builds a direct (no network) server with minted
-// 1-D and 2-D releases and returns its handler.
-func newQueryBenchServer(tb testing.TB) (*Server, http.Handler) {
+// newQueryBenchServer builds a direct (no network) server over a
+// side x side grid whose cells, read row by row, are also the 1-D counts
+// (domain side²), and mints universal "t", laplace "p" and universal2d
+// "grid" releases. It returns the server and its handler.
+func newQueryBenchServer(tb testing.TB, side int) (*Server, http.Handler) {
 	tb.Helper()
-	counts := make([]float64, 256)
-	cells := make([][]float64, 16)
+	counts := make([]float64, side*side)
+	cells := make([][]float64, side)
 	for i := range counts {
 		counts[i] = float64(i % 17)
 	}
 	for y := range cells {
-		cells[y] = counts[y*16 : y*16+16]
+		cells[y] = counts[y*side : y*side+side]
 	}
 	s, err := New(Config{Counts: counts, Cells: cells, Budget: 10, Seed: 7})
 	if err != nil {
@@ -522,6 +613,7 @@ func newQueryBenchServer(tb testing.TB) (*Server, http.Handler) {
 	h := s.Handler()
 	for _, mint := range []string{
 		`{"name":"t","strategy":"universal","epsilon":0.5}`,
+		`{"name":"p","strategy":"laplace","epsilon":0.5}`,
 		`{"name":"grid","strategy":"universal2d","epsilon":0.5}`,
 	} {
 		rec := httptest.NewRecorder()
@@ -545,10 +637,69 @@ func queryHTTPRequest(path, payload string) (*http.Request, *replayBody) {
 const benchQueryBody = `{"name":"t","ranges":[{"lo":0,"hi":256},{"lo":17,"hi":42},{"lo":3,"hi":200},{"lo":128,"hi":129}]}`
 const benchQuery2DBody = `{"name":"grid","rects":[{"x0":0,"y0":0,"x1":16,"y1":16},{"x0":2,"y0":3,"x1":9,"y1":11}]}`
 
-// TestServerQueryAllocs is the tentpole's acceptance gate: the pooled
+// Bulk bodies have the size and shape of the serving benchmark's
+// read-bulk requests: bulkSpecs distinct uniform specs over domain
+// bulkSide² or a bulkSide x bulkSide grid, in the bytes json.Marshal
+// writes for the spec slices.
+const (
+	bulkSpecs = 10000
+	bulkSide  = 32
+)
+
+// bulkRangeBody returns a /v1/query body for release name.
+func bulkRangeBody(tb testing.TB, name string) string {
+	rng := rand.New(rand.NewPCG(1, 2))
+	seen := make(map[dphist.RangeSpec]bool, bulkSpecs)
+	specs := make([]dphist.RangeSpec, 0, bulkSpecs)
+	for len(specs) < bulkSpecs {
+		lo, hi := bulkInterval(rng, bulkSide*bulkSide)
+		if s := (dphist.RangeSpec{Lo: lo, Hi: hi}); !seen[s] {
+			seen[s] = true
+			specs = append(specs, s)
+		}
+	}
+	return bulkBody(tb, name, "ranges", specs)
+}
+
+// bulkRectBody returns a /v1/query2d body for release name.
+func bulkRectBody(tb testing.TB, name string) string {
+	rng := rand.New(rand.NewPCG(3, 4))
+	seen := make(map[dphist.RectSpec]bool, bulkSpecs)
+	rects := make([]dphist.RectSpec, 0, bulkSpecs)
+	for len(rects) < bulkSpecs {
+		x0, x1 := bulkInterval(rng, bulkSide)
+		y0, y1 := bulkInterval(rng, bulkSide)
+		if r := (dphist.RectSpec{X0: x0, Y0: y0, X1: x1, Y1: y1}); !seen[r] {
+			seen[r] = true
+			rects = append(rects, r)
+		}
+	}
+	return bulkBody(tb, name, "rects", rects)
+}
+
+// bulkInterval draws a non-empty half-open interval of [0, n].
+func bulkInterval(rng *rand.Rand, n int) (int, int) {
+	a, b := rng.IntN(n+1), rng.IntN(n+1)
+	for a == b {
+		b = rng.IntN(n + 1)
+	}
+	return min(a, b), max(a, b)
+}
+
+func bulkBody(tb testing.TB, name, field string, specs any) string {
+	tb.Helper()
+	data, err := json.Marshal(map[string]any{"name": name, field: specs})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestServerQueryAllocs is the wire layer's allocation gate: the pooled
 // hot path stays within ~1 amortized allocation per request (plus the
 // per-request header write every path pays) and beats the reflection
-// path by at least 5x.
+// path by at least 5x. Bulk batches add the batch pool's fan-out and
+// nothing else: parsing 10,000 specs allocates nothing.
 func TestServerQueryAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is meaningless under -short's first-run pools")
@@ -556,18 +707,21 @@ func TestServerQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per request; counts are unrepresentative")
 	}
-	s, h := newQueryBenchServer(t)
-	req, body := queryHTTPRequest("/v1/query", benchQueryBody)
-	w := &nullResponseWriter{}
-	// Warm the pools and the name memo.
-	for i := 0; i < 8; i++ {
-		body.off = 0
-		h.ServeHTTP(w, req)
+	allocs := func(h http.Handler, path, payload string) float64 {
+		req, body := queryHTTPRequest(path, payload)
+		w := &nullResponseWriter{}
+		// Warm the pools and the name memo.
+		for i := 0; i < 8; i++ {
+			body.off = 0
+			h.ServeHTTP(w, req)
+		}
+		return testing.AllocsPerRun(400, func() {
+			body.off = 0
+			h.ServeHTTP(w, req)
+		})
 	}
-	pooled := testing.AllocsPerRun(400, func() {
-		body.off = 0
-		h.ServeHTTP(w, req)
-	})
+	s, h := newQueryBenchServer(t, 16)
+	pooled := allocs(h, "/v1/query", benchQueryBody)
 
 	reflReq, reflBody := queryHTTPRequest("/v1/query", benchQueryBody)
 	reflW := &nullResponseWriter{}
@@ -585,11 +739,26 @@ func TestServerQueryAllocs(t *testing.T) {
 	if refl < 5*pooled {
 		t.Errorf("reflection path allocates %.1f/request vs pooled %.1f: less than the 5x the rework claims", refl, pooled)
 	}
+
+	// Bulk batches: the header plus, per batch, the fan-out's closure
+	// and WaitGroup when the batch pool has more than one worker.
+	_, bulk := newQueryBenchServer(t, bulkSide)
+	const maxBulk = 3
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/query", bulkRangeBody(t, "t")},
+		{"/v1/query2d", bulkRectBody(t, "grid")},
+	} {
+		got := allocs(bulk, tc.path, tc.body)
+		t.Logf("%s, %d specs: %.1f allocs/request", tc.path, bulkSpecs, got)
+		if got > maxBulk {
+			t.Errorf("%s with %d specs allocates %.1f/request, want <= %d", tc.path, bulkSpecs, got, maxBulk)
+		}
+	}
 }
 
-func BenchmarkServerQueryHTTP(b *testing.B) {
-	_, h := newQueryBenchServer(b)
-	req, body := queryHTTPRequest("/v1/query", benchQueryBody)
+// benchServe times ServeHTTP on one replayed request.
+func benchServe(b *testing.B, h http.Handler, path, payload string) {
+	req, body := queryHTTPRequest(path, payload)
 	w := &nullResponseWriter{}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -599,22 +768,67 @@ func BenchmarkServerQueryHTTP(b *testing.B) {
 	}
 }
 
+// BenchmarkServerQueryHTTP times /v1/query through ServeHTTP on a
+// small batch and on bulk batches against a tree-offset (universal) and
+// a prefix (laplace) plan; its parse-only case times the request parser
+// alone on the same bulk body, with SetBytes giving the rate in MB/s.
+func BenchmarkServerQueryHTTP(b *testing.B) {
+	b.Run("batch=4", func(b *testing.B) {
+		_, h := newQueryBenchServer(b, 16)
+		benchServe(b, h, "/v1/query", benchQueryBody)
+	})
+	_, h := newQueryBenchServer(b, bulkSide)
+	body := bulkRangeBody(b, "t")
+	b.Run(fmt.Sprintf("universal/batch=%d", bulkSpecs), func(b *testing.B) {
+		benchServe(b, h, "/v1/query", body)
+	})
+	b.Run(fmt.Sprintf("laplace/batch=%d", bulkSpecs), func(b *testing.B) {
+		benchServe(b, h, "/v1/query", bulkRangeBody(b, "p"))
+	})
+	b.Run(fmt.Sprintf("parse-only/batch=%d", bulkSpecs), func(b *testing.B) {
+		benchParse(b, body, func(sc *queryScratch) error {
+			_, _, err := parseQueryRequest(sc, maxQueryRanges)
+			return err
+		})
+	})
+}
+
+// BenchmarkServerQuery2DHTTP is BenchmarkServerQueryHTTP for
+// /v1/query2d against a quadtree-offset (universal2d) plan.
 func BenchmarkServerQuery2DHTTP(b *testing.B) {
-	_, h := newQueryBenchServer(b)
-	req, body := queryHTTPRequest("/v1/query2d", benchQuery2DBody)
-	w := &nullResponseWriter{}
+	b.Run("batch=2", func(b *testing.B) {
+		_, h := newQueryBenchServer(b, 16)
+		benchServe(b, h, "/v1/query2d", benchQuery2DBody)
+	})
+	_, h := newQueryBenchServer(b, bulkSide)
+	body := bulkRectBody(b, "grid")
+	b.Run(fmt.Sprintf("universal2d/batch=%d", bulkSpecs), func(b *testing.B) {
+		benchServe(b, h, "/v1/query2d", body)
+	})
+	b.Run(fmt.Sprintf("parse-only/batch=%d", bulkSpecs), func(b *testing.B) {
+		benchParse(b, body, func(sc *queryScratch) error {
+			_, _, err := parseQuery2DRequest(sc, maxQueryRanges)
+			return err
+		})
+	})
+}
+
+// benchParse times parse on body alone, reporting bytes per second.
+func benchParse(b *testing.B, body string, parse func(*queryScratch) error) {
+	sc := &queryScratch{body: []byte(body)}
+	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body.off = 0
-		h.ServeHTTP(w, req)
+		if err := parse(sc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkServerQueryHTTPReflection is the pre-rework wire path, kept
 // runnable so the win stays measurable in CI output.
 func BenchmarkServerQueryHTTPReflection(b *testing.B) {
-	s, _ := newQueryBenchServer(b)
+	s, _ := newQueryBenchServer(b, 16)
 	req, body := queryHTTPRequest("/v1/query", benchQueryBody)
 	w := &nullResponseWriter{}
 	b.ReportAllocs()
