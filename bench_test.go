@@ -11,6 +11,8 @@ package dphist
 import (
 	"container/list"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -321,6 +323,60 @@ func BenchmarkStorePutDurable(b *testing.B) {
 		if _, err := s.Put("hot", rel); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// snapshotStore opens a durable store in dir holding n universal
+// releases at domain 256 across four namespaces, about 20 KiB of
+// snapshot document each.
+func snapshotStore(tb testing.TB, dir string, n int) *Store {
+	tb.Helper()
+	s, err := OpenStore(dir, WithoutSync(), WithSnapshotEvery(0))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	counts := make([]float64, 256)
+	for i := range counts {
+		counts[i] = float64(i % 23)
+	}
+	m := MustNew(WithSeed(13))
+	for i := 0; i < n; i++ {
+		rel, err := m.UniversalHistogram(counts, 0.5)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := s.Namespace(fmt.Sprintf("tenant-%d", i%4)).Put(fmt.Sprintf("rel-%d", i), rel); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s
+}
+
+// One snapshot of a durable store, fsync included: the document streams
+// to its file a release at a time, so bytes allocated per op stay near
+// one encoded release plus the write buffer at either size.
+func BenchmarkStoreSnapshot(b *testing.B) {
+	for _, n := range []int{100, 400} {
+		b.Run(fmt.Sprintf("releases=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			s := snapshotStore(b, dir, n)
+			defer s.Close()
+			if err := s.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+			info, err := os.Stat(filepath.Join(dir, snapshotFile))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(info.Size())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Snapshot(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -375,10 +375,11 @@ type servingBaseline struct {
 	Rows        []servingRow `json:"rows"`
 }
 
-// minTimedWindow is the shortest window a timeBatches row may measure,
-// like testing.B's benchtime: rows whose batches finish in a few
+// minTimedWindow is the shortest window a timed row may measure, like
+// testing.B's benchtime: rows whose batches finish in a few
 // milliseconds repeat rounds until the window fills, so one scheduler
-// stall cannot move a row past the compare gate.
+// stall cannot move a row past the compare gate. timeBatches, the
+// ingest rows and the router rows all fill it.
 const minTimedWindow = 500 * time.Millisecond
 
 // timeBatches runs the warm-up plus timed rounds of batches, repeating
@@ -822,16 +823,15 @@ func runCompare(baselinePath, candidatePath string) {
 // producers posting 1024-event batches), then the epoch mint latency
 // over everything absorbed. The epoch interval is set far out so the
 // scheduler stays idle and the timed window is pure pipeline; the
-// window closes after a full drain, so queued-but-unapplied batches
-// cannot inflate the throughput. Mint latency is printed for the eye
+// producers repeat rounds of their batches until minTimedWindow has
+// passed, and the window closes after a full drain, so
+// queued-but-unapplied batches cannot inflate the throughput. Mint latency is printed for the eye
 // but only the throughput rows join the BENCH_serving.json gate — a
 // one-shot millisecond-scale mint is too noisy for a 30% tolerance.
 func runIngest(cfg experiments.Config) []servingRow {
 	domain := 1 << 10
-	totalEvents := 1 << 22 // ~4M events per shard count
+	totalEvents := 1 << 22 // ~4M events per round
 	if cfg.Scale == experiments.ScaleSmall {
-		// Still millions of events: the timed window must dwarf scheduler
-		// jitter or the 30% regression gate turns into a coin flip.
 		totalEvents = 1 << 21
 	}
 	const (
@@ -839,8 +839,8 @@ func runIngest(cfg experiments.Config) []servingRow {
 		producers = 8
 		streams   = 4
 	)
-	fmt.Printf("== Streaming ingest: %d events per shard count, %d producers, %d-event batches (domain %d) ==\n",
-		totalEvents, producers, batchSize, domain)
+	fmt.Printf("== Streaming ingest: %d-event rounds for at least %v per shard count, %d producers, %d-event batches (domain %d) ==\n",
+		totalEvents, minTimedWindow, producers, batchSize, domain)
 
 	// Pre-built batches so the timed loop measures the pipeline, not the
 	// event generator.
@@ -876,19 +876,23 @@ func runIngest(cfg experiments.Config) []servingRow {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		var wg sync.WaitGroup
-		for p := 0; p < producers; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				for b := 0; b < batchesPer; b++ {
-					if _, err := in.Ingest("bench", batches[p]); err != nil {
-						fatalf("%v", err)
+		rounds := 0
+		for time.Since(start) < minTimedWindow {
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					for b := 0; b < batchesPer; b++ {
+						if _, err := in.Ingest("bench", batches[p]); err != nil {
+							fatalf("%v", err)
+						}
 					}
-				}
-			}(p)
+				}(p)
+			}
+			wg.Wait()
+			rounds++
 		}
-		wg.Wait()
 		mintStart := time.Now()
 		if _, err := in.Flush(); err != nil {
 			fatalf("%v", err)
@@ -899,7 +903,7 @@ func runIngest(cfg experiments.Config) []servingRow {
 		if err := in.Close(); err != nil {
 			fatalf("%v", err)
 		}
-		events := producers * batchesPer * batchSize
+		events := rounds * producers * batchesPer * batchSize
 		return servingRow{
 			Experiment:      "ingest",
 			Release:         "shards-" + strconv.Itoa(shardCount),
@@ -910,7 +914,7 @@ func runIngest(cfg experiments.Config) []servingRow {
 			ElapsedSeconds:  elapsed.Seconds(),
 			DomainOrSide:    domain,
 			BatchSize:       batchSize,
-			BatchesMeasured: producers * batchesPer,
+			BatchesMeasured: rounds * producers * batchesPer,
 		}, mint
 	}
 	var rows []servingRow
@@ -939,9 +943,10 @@ func runIngest(cfg experiments.Config) []servingRow {
 // HTTP (records/sec through snapshot + stream + Apply), how far a live
 // follower trails a minting primary (printed, not gated — it is a
 // latency, not a throughput), and what a query batch costs through the
-// consistent-hash router with 1, 2 and 4 replicas behind it. Every
-// replica runs in this process on the same cores, so the router rows
-// time the proxy hop, not read scale-out.
+// consistent-hash router with 1, 2 and 4 replicas behind it, each
+// router window repeating rounds of batches until minTimedWindow has
+// passed. Every replica runs in this process on the same cores, so the
+// router rows time the proxy hop, not read scale-out.
 func runReplication(cfg experiments.Config) []servingRow {
 	domain := 256
 	mints := 4096
@@ -1123,20 +1128,25 @@ func runReplication(cfg experiments.Config) []servingRow {
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			startTime := time.Now()
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for b := 0; b < routerBatches/clients; b++ {
-						post()
-					}
-				}()
+			var elapsed time.Duration
+			rounds := 0
+			for elapsed < minTimedWindow {
+				var wg sync.WaitGroup
+				for c := 0; c < clients; c++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for b := 0; b < routerBatches/clients; b++ {
+							post()
+						}
+					}()
+				}
+				wg.Wait()
+				rounds++
+				elapsed = time.Since(startTime)
 			}
-			wg.Wait()
-			elapsed := time.Since(startTime)
 			runtime.ReadMemStats(&after)
-			queries := (routerBatches / clients) * clients * batchSize
+			queries := rounds * (routerBatches / clients) * clients * batchSize
 			return servingRow{
 				Experiment:      "replication",
 				Release:         "router-hop-replicas-" + strconv.Itoa(replicas),

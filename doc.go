@@ -210,7 +210,9 @@
 // Every put, delete, and budget charge is appended to a checksummed
 // write-ahead log (internal/journal) and fsynced before it is
 // acknowledged; the log is periodically folded into an atomically
-// replaced snapshot (WithSnapshotEvery). Reopening the directory
+// replaced snapshot (WithSnapshotEvery), which streams to its file one
+// release at a time, so writing it holds one encoded release and a
+// write buffer however large the store grows. Reopening the directory
 // replays snapshot + log: all acknowledged releases answer identically,
 // all version counters continue, and every namespace's Spent() is
 // exactly what was admitted before the crash. Recovery truncates a torn

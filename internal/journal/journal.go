@@ -49,11 +49,13 @@
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -532,41 +534,38 @@ func (j *Journal) Close() error {
 	return closeErr
 }
 
-// WriteSnapshot atomically replaces path with the JSON encoding of v:
-// the state is written to a temporary file, fsynced, and renamed over
-// path, so a crash at any instant leaves either the old snapshot or the
-// new one — never a partial file under the live name.
-func WriteSnapshot(path string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return WriteSnapshotData(path, data)
-}
+// snapshotBufferSize is the write buffer between a snapshot's writer
+// and its file: a streamed document costs this much memory plus what
+// the writer holds, however large the document grows.
+const snapshotBufferSize = 64 << 10
 
-// WriteSnapshotData is WriteSnapshot for a document already encoded:
-// data is written as given, with the same atomic replace.
-func WriteSnapshotData(path string, data []byte) error {
+// WriteSnapshot atomically replaces path with the document write
+// produces. The document streams through a buffered writer into a
+// temporary file, which is fsynced and renamed over path, so a crash at
+// any instant leaves either the old snapshot or the new one — never a
+// partial file under the live name. If write or any file operation
+// fails, the temporary file is removed and path is left untouched.
+func WriteSnapshot(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	w := bufio.NewWriterSize(f, snapshotBufferSize)
+	err = write(w)
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

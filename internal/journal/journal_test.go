@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -248,8 +249,11 @@ func TestSnapshotRoundTripAndCorruption(t *testing.T) {
 	if found, err := ReadSnapshot(path, &missing); found || err != nil {
 		t.Fatalf("missing snapshot: found %v err %v", found, err)
 	}
+	write := func(v state) error {
+		return WriteSnapshot(path, func(w io.Writer) error { return json.NewEncoder(w).Encode(v) })
+	}
 	want := state{Seq: 7, Names: []string{"a", "b"}}
-	if err := WriteSnapshot(path, want); err != nil {
+	if err := write(want); err != nil {
 		t.Fatal(err)
 	}
 	var got state
@@ -260,7 +264,7 @@ func TestSnapshotRoundTripAndCorruption(t *testing.T) {
 		t.Fatalf("got %+v", got)
 	}
 	// Overwrite is atomic-replace: the temp file never lingers.
-	if err := WriteSnapshot(path, state{Seq: 8}); err != nil {
+	if err := write(state{Seq: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
@@ -272,6 +276,82 @@ func TestSnapshotRoundTripAndCorruption(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(path, &got); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("partial snapshot err = %v, want ErrCorrupt", err)
+	}
+}
+
+// A snapshot write that fails at any point — in the caller's writer
+// before a byte is written, after part of the document has reached the
+// temporary file, or in the file itself — leaves the previous snapshot
+// byte for byte and no temporary file; one that succeeds replaces it.
+func TestWriteSnapshotFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snapshot.json")
+	old := []byte(`{"seq":1}`)
+	if err := WriteSnapshot(path, func(w io.Writer) error { _, err := w.Write(old); return err }); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	chunk := make([]byte, 1024)
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T)
+		write func(t *testing.T, w io.Writer) error
+	}{
+		{"callback error", nil, func(*testing.T, io.Writer) error { return boom }},
+		{"callback error mid-document", nil, func(t *testing.T, w io.Writer) error {
+			for n := 0; n < 2*snapshotBufferSize; n += len(chunk) {
+				if _, err := w.Write(chunk); err != nil {
+					return err
+				}
+			}
+			info, err := os.Stat(path + ".tmp")
+			if err != nil || info.Size() < snapshotBufferSize {
+				t.Errorf("temporary file before the failure: %v, %v; want part of the document", info, err)
+			}
+			return boom
+		}},
+		{"writer fails mid-document", func(t *testing.T) {
+			// Every write to /dev/full fails with ENOSPC: the first buffer
+			// flush fails once the document outgrows the write buffer.
+			if _, err := os.Stat("/dev/full"); err != nil {
+				t.Skip("no /dev/full")
+			}
+			if err := os.Symlink("/dev/full", path+".tmp"); err != nil {
+				t.Fatal(err)
+			}
+		}, func(_ *testing.T, w io.Writer) error {
+			for n := 0; n < 4*snapshotBufferSize; n += len(chunk) {
+				if _, err := w.Write(chunk); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.setup != nil {
+				tc.setup(t)
+			}
+			err := WriteSnapshot(path, func(w io.Writer) error { return tc.write(t, w) })
+			if err == nil {
+				t.Fatal("failed snapshot write reported success")
+			}
+			if got, rerr := os.ReadFile(path); rerr != nil || string(got) != string(old) {
+				t.Fatalf("previous snapshot after %v: %q, %v", err, got, rerr)
+			}
+			if _, serr := os.Lstat(path + ".tmp"); !os.IsNotExist(serr) {
+				t.Fatalf("temporary file left behind after %v: %v", err, serr)
+			}
+		})
+	}
+	if err := WriteSnapshot(path, func(w io.Writer) error { _, err := w.Write([]byte(`{"seq":2}`)); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != `{"seq":2}` {
+		t.Fatalf("replaced snapshot: %q, %v", got, err)
+	}
+	if _, err := os.Lstat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temporary file left behind: %v", err)
 	}
 }
 

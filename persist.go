@@ -15,6 +15,7 @@ package dphist
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -285,11 +286,13 @@ func (s *Store) snapshot(closing bool) error {
 	if s.closed && !closing {
 		return ErrStoreClosed
 	}
-	data, seq, err := s.collectSnapshotLocked()
-	if err != nil {
+	var seq uint64
+	err := journal.WriteSnapshot(filepath.Join(s.dir, snapshotFile), func(w io.Writer) error {
+		var err error
+		seq, err = s.writeSnapshotLocked(w)
 		return err
-	}
-	if err := journal.WriteSnapshotData(filepath.Join(s.dir, snapshotFile), data); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	// The snapshot is durable and covers every journaled record, so the
@@ -303,17 +306,18 @@ func (s *Store) snapshot(closing bool) error {
 	return nil
 }
 
-// collectSnapshotLocked encodes complete store state as the snapshot
-// document and returns it with the journal sequence it covers; the
-// caller holds opMu for write, so no journaled mutation is in flight and
-// the WAL's last assigned sequence exactly bounds the collected state.
+// writeSnapshotLocked writes complete store state to w as the snapshot
+// document and returns the journal sequence it covers; the caller holds
+// opMu for write, so no journaled mutation is in flight and the WAL's
+// last assigned sequence exactly bounds the collected state.
 //
-// The document is appended by hand, each release's AppendRelease bytes
-// written straight into it, and equals json.Marshal of the matching
-// storeSnapshot. Building the struct first would hold every payload, the
-// encoder's buffer and its output copy at once: three copies of the
-// store's releases, enough to set a durable server's peak heap.
-func (s *Store) collectSnapshotLocked() ([]byte, uint64, error) {
+// The document is streamed, one entry at a time: each entry is appended
+// into one reused buffer, its release's AppendRelease bytes written
+// straight in, and the buffer goes to w before the next entry is
+// encoded. A snapshot therefore holds one encoded release at a time,
+// whatever the store holds. The bytes equal json.Marshal of the matching
+// storeSnapshot.
+func (s *Store) writeSnapshotLocked(w io.Writer) (uint64, error) {
 	seq := s.jnl.NextSeq() - 1
 	savedAt := s.now()
 	// Each entry's release and fields are copied under its shard's lock;
@@ -383,10 +387,10 @@ func (s *Store) collectSnapshotLocked() ([]byte, uint64, error) {
 	b = append(b, `,"saved_at":`...)
 	b, err := jsonw.AppendTime(b, savedAt)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	b = append(b, `,"entries":`...)
-	b, err = appendList(b, len(entries), entries == nil, func(b []byte, i int) ([]byte, error) {
+	b, err = writeList(w, b, len(entries), entries == nil, func(b []byte, i int) ([]byte, error) {
 		e := entries[i]
 		b = appendSnapHead(b, e.key.ns, e.key.name)
 		b = append(b, `,"version":`...)
@@ -401,18 +405,21 @@ func (s *Store) collectSnapshotLocked() ([]byte, uint64, error) {
 		return append(b, '}'), err
 	})
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	b = append(b, `,"versions":`...)
-	// Version objects hold only strings and integers, which cannot fail.
-	b, _ = appendList(b, len(versions), versions == nil, func(b []byte, i int) ([]byte, error) {
+	// Version objects hold only strings and integers, so only w can fail.
+	b, err = writeList(w, b, len(versions), versions == nil, func(b []byte, i int) ([]byte, error) {
 		b = appendSnapHead(b, versions[i].Namespace, versions[i].Name)
 		b = append(b, `,"version":`...)
 		b = strconv.AppendInt(b, int64(versions[i].Version), 10)
 		return append(b, '}'), nil
 	})
+	if err != nil {
+		return 0, err
+	}
 	b = append(b, `,"charges":`...)
-	b, err = appendList(b, len(charges), charges == nil, func(b []byte, i int) ([]byte, error) {
+	b, err = writeList(w, b, len(charges), charges == nil, func(b []byte, i int) ([]byte, error) {
 		b = append(b, `{"ns":`...)
 		b = jsonw.AppendString(b, charges[i].Namespace)
 		b = append(b, `,"label":`...)
@@ -422,14 +429,20 @@ func (s *Store) collectSnapshotLocked() ([]byte, uint64, error) {
 		return append(b, '}'), err
 	})
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return append(b, '}'), seq, nil
+	if _, err := w.Write(append(b, '}')); err != nil {
+		return 0, err
+	}
+	return seq, nil
 }
 
-// appendList appends n elements written by elem as a JSON array, or
-// null for a nil list, as encoding/json encodes a nil slice.
-func appendList(b []byte, n int, isNil bool, elem func([]byte, int) ([]byte, error)) ([]byte, error) {
+// writeList writes n elements as a JSON array, or null for a nil list,
+// as encoding/json encodes a nil slice. Each element is appended to b by
+// elem and b is written to w before the next one is encoded; the
+// returned b holds the bytes after the last write, for the caller to
+// continue.
+func writeList(w io.Writer, b []byte, n int, isNil bool, elem func([]byte, int) ([]byte, error)) ([]byte, error) {
 	if isNil {
 		return append(b, "null"...), nil
 	}
@@ -442,6 +455,10 @@ func appendList(b []byte, n int, isNil bool, elem func([]byte, int) ([]byte, err
 		if b, err = elem(b, i); err != nil {
 			return b, err
 		}
+		if _, err := w.Write(b); err != nil {
+			return b, err
+		}
+		b = b[:0]
 	}
 	return append(b, ']'), nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -605,37 +606,54 @@ func TestStoreDurableConcurrency(t *testing.T) {
 	}
 }
 
-// The hand-appended snapshot document is exactly what json.Marshal
-// writes for the storeSnapshot it decodes to, and that struct holds the
-// store's state: every live release's wire bytes, every version counter
-// (deleted names included) and every namespace's spent budget.
+// The streamed snapshot document is exactly what json.Marshal writes for
+// the storeSnapshot it decodes to, through both sinks — the file
+// Snapshot writes and the bytes ReplicationSnapshot serves — and that
+// struct holds the store's state: every live release's wire bytes,
+// every version counter (deleted names included) and every namespace's
+// spent budget.
 func TestSnapshotDocumentMatchesReflection(t *testing.T) {
-	s, err := OpenStore(t.TempDir(), WithoutSync(), WithSnapshotEvery(0), WithBudget(4))
+	dir := t.TempDir()
+	s, err := OpenStore(dir, WithoutSync(), WithSnapshotEvery(0), WithBudget(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	checkDoc := func() storeSnapshot {
 		t.Helper()
-		s.opMu.Lock()
-		data, seq, err := s.collectSnapshotLocked()
-		s.opMu.Unlock()
+		repl, replSeq, err := s.ReplicationSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replSeq != s.JournalSeq() {
+			t.Fatalf("replication snapshot covers seq %d, journal at %d", replSeq, s.JournalSeq())
+		}
+		if err := s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var snap storeSnapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			t.Fatalf("snapshot document does not decode: %v\n%s", err, data)
-		}
-		want, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(data) != string(want) {
-			t.Fatalf("snapshot document diverges from json.Marshal:\n got %s\nwant %s", data, want)
-		}
-		if snap.Seq != seq || seq != s.JournalSeq() {
-			t.Fatalf("snapshot seq %d (returned %d), journal at %d", snap.Seq, seq, s.JournalSeq())
+		for _, sink := range []struct {
+			name string
+			data []byte
+		}{{"snapshot file", file}, {"replication snapshot", repl}} {
+			snap = storeSnapshot{}
+			if err := json.Unmarshal(sink.data, &snap); err != nil {
+				t.Fatalf("%s does not decode: %v\n%s", sink.name, err, sink.data)
+			}
+			want, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(sink.data) != string(want) {
+				t.Fatalf("%s diverges from json.Marshal:\n got %s\nwant %s", sink.name, sink.data, want)
+			}
+			if snap.Seq != s.JournalSeq() {
+				t.Fatalf("%s seq %d, journal at %d", sink.name, snap.Seq, s.JournalSeq())
+			}
 		}
 		return snap
 	}
@@ -685,5 +703,32 @@ func TestSnapshotDocumentMatchesReflection(t *testing.T) {
 		if want := s.Namespace(c.Namespace).Accountant().Spent(); c.Epsilon != want {
 			t.Fatalf("snapshot charge for %s = %v, spent %v", c.Namespace, c.Epsilon, want)
 		}
+	}
+}
+
+// A snapshot streams to its file one release at a time, so what it
+// allocates is bounded by one encoded release and the write buffer, not
+// by the document: 400 universal releases at domain 256 make about
+// 8.3 MB of snapshot.
+func TestSnapshotAllocationBounded(t *testing.T) {
+	dir := t.TempDir()
+	s := snapshotStore(t, dir, 400)
+	defer s.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	info, err := os.Stat(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() < 8e6 {
+		t.Fatalf("snapshot document is %d bytes, want at least 8 MB", info.Size())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("snapshot of a %d-byte document allocated %d bytes, want under 1 MiB", info.Size(), got)
 	}
 }

@@ -25,9 +25,11 @@ package dphist
 // to the primary's at every shared sequence.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"time"
@@ -173,8 +175,13 @@ func (s *Store) Bootstrap(data []byte) error {
 		// Durability order: the snapshot file lands before the WAL is
 		// rebased past it. A crash between the two replays the fresh
 		// snapshot and skips any leftover WAL records at or below its
-		// seq, so every window recovers consistently.
-		if err := journal.WriteSnapshot(filepath.Join(s.dir, snapshotFile), json.RawMessage(data)); err != nil {
+		// seq, so every window recovers consistently. The shipped bytes
+		// are written as given: Unmarshal above has validated them.
+		err := journal.WriteSnapshot(filepath.Join(s.dir, snapshotFile), func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
+		if err != nil {
 			return err
 		}
 		if err := s.jnl.Rebase(snap.Seq); err != nil {
@@ -222,7 +229,14 @@ func (s *Store) ReplicationSnapshot() ([]byte, uint64, error) {
 	if s.closed {
 		return nil, 0, ErrStoreClosed
 	}
-	return s.collectSnapshotLocked()
+	// Buffered whole, not streamed to the caller: a slow reader must not
+	// hold opMu, which every mint and charge waits on.
+	var buf bytes.Buffer
+	seq, err := s.writeSnapshotLocked(&buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	return buf.Bytes(), seq, nil
 }
 
 // ReplicationRead returns every journal record with sequence >= from.

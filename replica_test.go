@@ -7,6 +7,8 @@ package dphist
 import (
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/dphist/dphist/internal/journal"
@@ -206,6 +208,43 @@ func TestReplicaBootstrapAndResync(t *testing.T) {
 	if err := r.Bootstrap([]byte("{broken")); !errors.Is(err, journal.ErrCorrupt) {
 		t.Fatalf("garbage bootstrap error = %v, want ErrCorrupt", err)
 	}
+}
+
+// A durable replica writes a bootstrap snapshot to disk exactly as the
+// primary served it, and recovers from that file.
+func TestReplicaDurableBootstrapWritesShippedSnapshot(t *testing.T) {
+	p, specs := primaryWithState(t, t.TempDir())
+	defer p.Close()
+	snap, seq, err := p.ReplicationSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	r, err := OpenReplica(dir, WithBudget(2.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Bootstrap(snap); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(snap) {
+		t.Fatalf("replica snapshot file differs from the shipped snapshot:\n got %s\nwant %s", got, snap)
+	}
+	// Crash: the replica is abandoned without Close, so recovery reads
+	// the shipped file.
+	r2, err := OpenReplica(dir, WithBudget(2.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if r2.AppliedSeq() != seq {
+		t.Fatalf("reopened replica applied %d, want %d", r2.AppliedSeq(), seq)
+	}
+	requireParity(t, p, r2, specs)
 }
 
 // A durable replica's WAL carries primary sequence numbers, so killing
