@@ -224,18 +224,25 @@ func BenchmarkUniversalHistogram16K(b *testing.B) {
 // against.
 type singleMutexStore struct {
 	mu      sync.Mutex
-	items   map[string]*storeItem
+	items   map[string]*singleMutexItem
 	recency *list.List
 }
 
+// singleMutexItem is a seed-store entry: the release and its element
+// of the recency list.
+type singleMutexItem struct {
+	release Release
+	elem    *list.Element
+}
+
 func newSingleMutexStore() *singleMutexStore {
-	return &singleMutexStore{items: make(map[string]*storeItem), recency: list.New()}
+	return &singleMutexStore{items: make(map[string]*singleMutexItem), recency: list.New()}
 }
 
 func (s *singleMutexStore) put(name string, r Release) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.items[name] = &storeItem{release: r, elem: s.recency.PushFront(name)}
+	s.items[name] = &singleMutexItem{release: r, elem: s.recency.PushFront(name)}
 }
 
 func (s *singleMutexStore) get(name string) (Release, bool) {
@@ -253,9 +260,9 @@ func (s *singleMutexStore) get(name string) (Release, bool) {
 // The serving metadata hot path under concurrent readers: the seed
 // store serialized every Get on one mutex and touched the LRU list and
 // clock each time. The sharded store hashes to an independent shard and
-// skips recency/clock work it does not need; it must beat the baseline
-// here, and it additionally removes cross-core lock contention that
-// this box (or any single-core runner) cannot exhibit.
+// takes only its read lock, with no recency or clock work; it must beat
+// the baseline here, and it additionally removes cross-core lock
+// contention that a single-core runner cannot exhibit.
 func BenchmarkStoreGetParallel(b *testing.B) {
 	rel, err := MustNew(WithSeed(11)).UniversalHistogram([]float64{2, 0, 10, 2, 5, 5, 5, 5}, 1)
 	if err != nil {

@@ -24,10 +24,8 @@
 //	                  log, so restarts neither lose releases nor forget
 //	                  spent budget (empty = in-memory, state dies with
 //	                  the process)
-//	-shards N         store shard count (0 = auto)
+//	-shards N         store shard count, at most 4096 (0 = default 8)
 //	-snapshot-every N journal records between snapshots (default 1024)
-//	-store-cap N      max stored releases, LRU-evicted past it (0 = unbounded)
-//	-store-ttl D      stored-release lifetime, e.g. 1h (0 = forever)
 //	-epoch D          enable streaming ingest: POST /v1/ingest absorbs
 //	                  event batches and every D (e.g. 10s, 5m) each
 //	                  stream's accumulated histogram is minted as a
@@ -135,10 +133,8 @@ func main() {
 		branching  = flag.Int("k", 2, "universal tree branching factor")
 		seed       = flag.Uint64("seed", 0, "noise seed (0 = derive from current time)")
 		dataDir    = flag.String("data-dir", "", "persist releases and budget ledgers here (empty = in-memory)")
-		shards     = flag.Int("shards", 0, "store shard count (0 = auto)")
+		shards     = flag.Int("shards", 0, "store shard count, at most 4096 (0 = default 8)")
 		snapEvery  = flag.Int("snapshot-every", 0, "journal records between snapshots (0 = default 1024)")
-		storeCap   = flag.Int("store-cap", 0, "max stored releases, LRU-evicted past it (0 = unbounded)")
-		storeTTL   = flag.Duration("store-ttl", 0, "stored-release lifetime (0 = forever)")
 		epoch      = flag.Duration("epoch", 0, "streaming ingest epoch interval (0 = ingest off)")
 		window     = flag.Int("window", 0, "sliding-window width in epochs (0 = off)")
 		ingShards  = flag.Int("ingest-shards", 4, "ingest worker shards")
@@ -153,6 +149,11 @@ func main() {
 	if *pprofAddr != "" {
 		startPprof(*pprofAddr)
 	}
+	storeOpts, err := storeOptions(*budget, *shards, *snapEvery)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dphist-server: %v\n", err)
+		os.Exit(2)
+	}
 	if *follow != "" {
 		// A follower loads no dataset and mints nothing: every flag that
 		// shapes the protected counts or the write path is meaningless,
@@ -161,16 +162,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dphist-server: -epoch cannot be combined with -follow (ingest belongs on the primary)")
 			os.Exit(2)
 		}
-		runFollower(*follow, *addr, *budget, *seed, *branching,
-			*dataDir, *shards, *snapEvery, *storeCap, *storeTTL)
+		runFollower(*follow, *addr, *seed, *branching, *dataDir, storeOpts)
 		return
 	}
 	if *domainSize < 1 {
 		fmt.Fprintln(os.Stderr, "dphist-server: -domain is required and must be positive")
-		os.Exit(2)
-	}
-	if !(*budget > 0) || math.IsInf(*budget, 0) {
-		fmt.Fprintf(os.Stderr, "dphist-server: -budget %v must be positive and finite\n", *budget)
 		os.Exit(2)
 	}
 	tab, err := table.New(*domainSize)
@@ -193,49 +189,32 @@ func main() {
 	cfg := server.Config{
 		Counts:               tab.Histogram(),
 		Cells:                reshape(tab.Histogram(), *gridWidth),
-		Budget:               *budget,
 		Seed:                 s,
 		Branching:            *branching,
 		MaxEpsilonPerRequest: *epsCap,
-		StoreCapacity:        *storeCap,
-		StoreTTL:             *storeTTL,
 	}
-	// The store is built here (not inside server.New) whenever something
-	// besides the HTTP handler needs to hold it: durability, or an ingest
-	// pipeline minting into the same keyspace.
+	// The store is built here (not inside server.New) so that the flags
+	// shape it and an ingest pipeline can mint into the same keyspace.
 	var store *dphist.Store
-	if *dataDir != "" || *epoch > 0 {
-		opts := []dphist.StoreOption{
-			dphist.WithBudget(*budget),
-			dphist.WithCapacity(*storeCap),
-			dphist.WithTTL(*storeTTL),
+	if *dataDir != "" {
+		store, err = dphist.OpenStore(*dataDir, storeOpts...)
+		if err != nil {
+			fatal(err)
 		}
-		if *shards > 0 {
-			opts = append(opts, dphist.WithShards(*shards))
+		// Recovery summary: what the ledger remembers from before.
+		recovered := 0
+		for _, ns := range store.Namespaces() {
+			n := store.Namespace(ns).Len()
+			recovered += n
+			acct := store.Namespace(ns).Accountant()
+			fmt.Fprintf(os.Stderr, "dphist-server: recovered namespace %q: %d releases, eps spent %g of %g\n",
+				ns, n, acct.Spent(), acct.Total())
 		}
-		if *snapEvery > 0 {
-			opts = append(opts, dphist.WithSnapshotEvery(*snapEvery))
-		}
-		if *dataDir != "" {
-			store, err = dphist.OpenStore(*dataDir, opts...)
-			if err != nil {
-				fatal(err)
-			}
-			// Recovery summary: what the ledger remembers from before.
-			recovered := 0
-			for _, ns := range store.Namespaces() {
-				n := store.Namespace(ns).Len()
-				recovered += n
-				acct := store.Namespace(ns).Accountant()
-				fmt.Fprintf(os.Stderr, "dphist-server: recovered namespace %q: %d releases, eps spent %g of %g\n",
-					ns, n, acct.Spent(), acct.Total())
-			}
-			fmt.Fprintf(os.Stderr, "dphist-server: data dir %s: %d releases recovered\n", *dataDir, recovered)
-		} else {
-			store = dphist.NewStore(opts...)
-		}
-		cfg.Store = store
+		fmt.Fprintf(os.Stderr, "dphist-server: data dir %s: %d releases recovered\n", *dataDir, recovered)
+	} else {
+		store = dphist.NewStore(storeOpts...)
 	}
+	cfg.Store = store
 	var ingester *ingest.Ingester
 	if *epoch > 0 {
 		strategy, err := dphist.ParseStrategy(*ingStrat)
@@ -304,9 +283,7 @@ func main() {
 		if ingester != nil {
 			_ = ingester.Close()
 		}
-		if store != nil {
-			_ = store.Close()
-		}
+		_ = store.Close()
 		fatal(err)
 	case <-ctx.Done():
 	}
@@ -324,10 +301,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dphist-server: final epoch flush: %v\n", err)
 		}
 	}
-	if store != nil {
-		if err := store.Close(); err != nil {
-			fatal(fmt.Errorf("final snapshot: %w", err))
-		}
+	if err := store.Close(); err != nil {
+		fatal(fmt.Errorf("final snapshot: %w", err))
+	}
+	if store.Dir() != "" {
 		fmt.Fprintln(os.Stderr, "dphist-server: final snapshot flushed")
 	}
 }
@@ -336,23 +313,7 @@ func main() {
 // durable) replica store fed by a replication tailer, served through a
 // follower-mode server that refuses writes with 403. Blocks until
 // SIGINT/SIGTERM, then stops the tailer BEFORE closing the store.
-func runFollower(primary, addr string, budget float64, seed uint64, branching int,
-	dataDir string, shards, snapEvery, storeCap int, storeTTL time.Duration) {
-	if !(budget > 0) || math.IsInf(budget, 0) {
-		fmt.Fprintf(os.Stderr, "dphist-server: -budget %v must be positive and finite\n", budget)
-		os.Exit(2)
-	}
-	opts := []dphist.StoreOption{
-		dphist.WithBudget(budget),
-		dphist.WithCapacity(storeCap),
-		dphist.WithTTL(storeTTL),
-	}
-	if shards > 0 {
-		opts = append(opts, dphist.WithShards(shards))
-	}
-	if snapEvery > 0 {
-		opts = append(opts, dphist.WithSnapshotEvery(snapEvery))
-	}
+func runFollower(primary, addr string, seed uint64, branching int, dataDir string, opts []dphist.StoreOption) {
 	var store *dphist.Store
 	var err error
 	if dataDir != "" {
@@ -437,6 +398,29 @@ func runFollower(primary, addr string, budget float64, seed uint64, branching in
 	if store.Dir() != "" {
 		fmt.Fprintln(os.Stderr, "dphist-server: final snapshot flushed")
 	}
+}
+
+// storeOptions builds the store options that the primary and the
+// follower share from their flags, refusing values the store cannot
+// take.
+func storeOptions(budget float64, shards, snapEvery int) ([]dphist.StoreOption, error) {
+	if !(budget > 0) || math.IsInf(budget, 0) {
+		return nil, fmt.Errorf("-budget %v must be positive and finite", budget)
+	}
+	if shards < 0 || shards > 4096 {
+		return nil, fmt.Errorf("-shards %d outside [0, 4096]", shards)
+	}
+	if snapEvery < 0 {
+		return nil, fmt.Errorf("-snapshot-every %d must not be negative", snapEvery)
+	}
+	opts := []dphist.StoreOption{dphist.WithBudget(budget)}
+	if shards > 0 {
+		opts = append(opts, dphist.WithShards(shards))
+	}
+	if snapEvery > 0 {
+		opts = append(opts, dphist.WithSnapshotEvery(snapEvery))
+	}
+	return opts, nil
 }
 
 func fatal(err error) {

@@ -133,13 +133,13 @@
 //
 // Store carries the retention side: releases behind names — versioned
 // (every Put under a name bumps its version, monotonically, even across
-// eviction), bounded by LRU capacity (WithCapacity) and TTL (WithTTL),
-// and safe for concurrent use. Store.Mint charges a Session and retains
-// the result in one step; Store.Query answers a range batch against a
-// stored release by name. Each shard entry keeps the compiled plan next
-// to the release, and the query paths snapshot both under a brief read
-// lock and compute the whole batch outside it — a 100k-range batch
-// never stalls a concurrent Put on the same shard.
+// deletion) and safe for concurrent use. A release was paid for in
+// epsilon, so it stays until Delete removes it. Store.Mint charges a
+// Session and retains the result in one step; Store.Query answers a
+// range batch against a stored release by name. Each shard entry keeps
+// the compiled plan next to the release, and the query paths snapshot
+// both under a brief read lock and compute the whole batch outside it —
+// a 100k-range batch never stalls a concurrent Put on the same shard.
 //
 // There is no answer cache on top of the plans: hashing and copying a
 // batch for a lookup costs about as much as answering it from the plan,
@@ -226,9 +226,8 @@
 // its own Accountant (budget total from WithBudget), so one store
 // serves many tenants with independent ledgers; the plain Store methods
 // are the "default" namespace. Get/Query traffic spreads across hash
-// shards (WithShards) so hot metadata reads do not serialize on one
-// mutex; capacity-bounded stores default to a single shard because
-// exact LRU order is global state.
+// shards (WithShards) under read locks, so hot metadata reads do not
+// serialize on one mutex.
 //
 // # Streaming ingest and continual release
 //

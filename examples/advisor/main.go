@@ -30,10 +30,9 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		Counts:        counts,
-		Budget:        2.0,
-		Seed:          42,
-		StoreCapacity: 8,
+		Counts: counts,
+		Budget: 2.0,
+		Seed:   42,
 	})
 	if err != nil {
 		panic(err)

@@ -33,10 +33,9 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		Counts:        counts,
-		Budget:        1.0,
-		Seed:          42,
-		StoreCapacity: 8,
+		Counts: counts,
+		Budget: 1.0,
+		Seed:   42,
 	})
 	if err != nil {
 		panic(err)

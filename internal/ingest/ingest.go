@@ -29,8 +29,7 @@
 //     epoch releases into "<stream>@window" via dphist.ComposeSum —
 //     pure post-processing (each event lands in exactly one epoch, so
 //     the window is parallel composition over its members), costing no
-//     budget. Old epochs age out through the store's existing TTL path,
-//     or eagerly via Retain.
+//     budget. Old epochs stay in the store until Retain deletes them.
 //
 //   - Live counts. With LiveEpsilon > 0, each (namespace, stream,
 //     bucket) gets a private continual counter (internal/stream) fed by
@@ -132,8 +131,8 @@ type Config struct {
 	// past it Ingest blocks, which is the backpressure contract.
 	QueueLen int
 	// Retain, when positive, deletes "<stream>@epoch-<n-Retain>" as
-	// epoch n is minted, bounding live epochs per stream eagerly; with
-	// Retain zero old epochs only age out via the store's TTL.
+	// epoch n is minted, bounding live epochs per stream; with Retain
+	// zero every epoch stays in the store until deleted.
 	Retain int
 	// LiveEpsilon enables the continual-count surface at this per-stream
 	// privacy cost (charged once per namespace/stream per process
@@ -687,7 +686,7 @@ func (in *Ingester) mintEpoch(key nsStream, counts []float64) error {
 }
 
 // mintWindow composes the last Window epochs ending at n into the
-// rolling "<stream>@window" release. Epochs already expired or pruned
+// rolling "<stream>@window" release. Epochs already deleted or pruned
 // simply drop out of the sum — the window covers what the store still
 // serves. Pure post-processing: no noise, no charge.
 func (in *Ingester) mintWindow(ns *dphist.Namespace, strm string, n int) error {

@@ -260,16 +260,13 @@ func TestRetainPrunesOldEpochs(t *testing.T) {
 	}
 }
 
-// TestExpiredEpochLeavesQueryCleanly lets an epoch age out through the
-// store TTL and checks the read path afterwards: the query answers
-// ErrReleaseNotFound (a 404 on the HTTP surface) although the same
-// batch was answered while the epoch was live.
+// TestExpiredEpochLeavesQueryCleanly lets an epoch age out of a
+// retention of one and checks the read path afterwards: the query
+// answers ErrReleaseNotFound (a 404 on the HTTP surface) although the
+// same batch was answered while the epoch was live.
 func TestExpiredEpochLeavesQueryCleanly(t *testing.T) {
-	store := dphist.NewStore(
-		dphist.WithBudget(100),
-		dphist.WithTTL(60*time.Millisecond),
-	)
-	in := newTestIngester(t, store, nil)
+	store := dphist.NewStore(dphist.WithBudget(100))
+	in := newTestIngester(t, store, func(c *Config) { c.Retain = 1 })
 	ns := store.Namespace(dphist.DefaultNamespace)
 
 	feed(t, in, "", "clicks", []float64{4, 4, 4, 4, 0, 0, 0, 0})
@@ -282,7 +279,11 @@ func TestExpiredEpochLeavesQueryCleanly(t *testing.T) {
 		t.Fatalf("fresh epoch unqueryable: %v", err)
 	}
 
-	time.Sleep(90 * time.Millisecond)
+	// Epoch 2 mints and deletes epoch 1.
+	feed(t, in, "", "clicks", []float64{4, 4, 4, 4, 0, 0, 0, 0})
+	if _, err := in.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := ns.Query(name, specs); !errors.Is(err, dphist.ErrReleaseNotFound) {
 		t.Fatalf("expired epoch query: %v, want ErrReleaseNotFound", err)
 	}

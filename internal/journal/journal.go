@@ -69,8 +69,7 @@ import (
 type Op string
 
 // The three journaled store events. Reads are never journaled: serving
-// queries is free post-processing and recency order is deliberately
-// volatile.
+// queries is free post-processing and changes no state.
 const (
 	OpPut    Op = "put"
 	OpDelete Op = "delete"

@@ -92,16 +92,9 @@ type Config struct {
 	// Store, when non-nil, is the externally owned release store the
 	// server serves from — open one with dphist.OpenStore for
 	// durability. The caller keeps ownership and closes it after
-	// shutdown. When nil the server builds an in-memory store from
-	// StoreCapacity/StoreTTL/Budget.
+	// shutdown. When nil the server builds an in-memory store with
+	// Budget.
 	Store *dphist.Store
-	// StoreCapacity bounds how many named releases the server retains
-	// for /v1/query; past it the least recently queried release is
-	// evicted. 0 means unbounded. Ignored when Store is set.
-	StoreCapacity int
-	// StoreTTL expires stored releases this long after minting. 0 means
-	// they never expire. Ignored when Store is set.
-	StoreTTL time.Duration
 	// Ingester, when non-nil, enables the streaming write path: POST
 	// /v1/ingest absorbs event batches, POST /v1/ingest/live answers the
 	// continual-count surface, and /v1/stats grows an ingest block. It
@@ -191,10 +184,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	store := cfg.Store
 	if store == nil {
-		opts := []dphist.StoreOption{
-			dphist.WithCapacity(cfg.StoreCapacity),
-			dphist.WithTTL(cfg.StoreTTL),
-		}
+		var opts []dphist.StoreOption
 		if cfg.Budget > 0 {
 			opts = append(opts, dphist.WithBudget(cfg.Budget))
 		}

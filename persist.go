@@ -96,7 +96,7 @@ type snapEntry struct {
 }
 
 // snapVersion is one per-name Put counter. Counters are persisted
-// separately from entries because they survive deletion and eviction.
+// separately from entries because they survive deletion.
 type snapVersion struct {
 	Namespace string `json:"ns"`
 	Name      string `json:"name"`
@@ -117,9 +117,9 @@ type snapCharge struct {
 
 // OpenStore opens (creating if needed) a durable store rooted at dir.
 // Recovery loads the newest snapshot, replays the write-ahead log on
-// top of it, truncates a torn final record, and re-applies the capacity
-// bound; after it returns, every release acknowledged before the last
-// shutdown or crash is queryable with identical answers, and every
+// top of it, and truncates a torn final record; after it returns, every
+// release acknowledged before the last shutdown or crash and not
+// deleted since is queryable with identical answers, and every
 // namespace Accountant reports exactly the budget admitted before the
 // crash. Damage that cannot be a torn append — checksum failures
 // mid-file, unparseable payloads, a corrupt snapshot — fails loudly
@@ -175,16 +175,6 @@ func openStore(dir string, readOnly bool, opts ...StoreOption) (*Store, error) {
 		for ns, a := range s.accts {
 			a.ledger = &storeLedger{s: s, ns: ns}
 		}
-	}
-	// Capacity evictions are never journaled (recovery re-derives them),
-	// so re-run the bound over the replayed state.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		s.sweepExpiredLocked(sh, s.now())
-		for s.shardCap > 0 && len(sh.items) > s.shardCap {
-			s.removeLocked(sh, sh.recency.Back().Value.(nsKey))
-		}
-		sh.mu.Unlock()
 	}
 	return s, nil
 }
@@ -319,7 +309,7 @@ func (s *Store) snapshot(closing bool) error {
 // storeSnapshot.
 func (s *Store) writeSnapshotLocked(w io.Writer) (uint64, error) {
 	seq := s.jnl.NextSeq() - 1
-	savedAt := s.now()
+	savedAt := time.Now()
 	// Each entry's release and fields are copied under its shard's lock;
 	// releases are immutable, so the encoding below runs outside them.
 	type liveEntry struct {
@@ -331,15 +321,14 @@ func (s *Store) writeSnapshotLocked(w io.Writer) (uint64, error) {
 	var entries []liveEntry
 	var versions []snapVersion
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		s.sweepExpiredLocked(sh, s.now())
+		sh.mu.RLock()
 		for k, it := range sh.items {
 			entries = append(entries, liveEntry{k, it.release, it.entry.Version, it.entry.StoredAt})
 		}
 		for k, v := range sh.versions {
 			versions = append(versions, snapVersion{Namespace: k.ns, Name: k.name, Version: v})
 		}
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
 	s.acctMu.Lock()
 	accts := make(map[string]*Accountant, len(s.accts))

@@ -354,71 +354,6 @@ func writeBadPutWAL(t *testing.T, path string) {
 
 // Automatic snapshots: once enough records accumulate the WAL is folded
 // away, and recovery from the snapshot matches recovery from the log.
-// TTL-expired entries must not resurrect through crash recovery: expiry
-// is never journaled (it is a pure function of StoredAt and the TTL
-// option — see sweepExpiredLocked), so OpenStore must re-derive it from
-// the persisted StoredAt. A store that forgot to would serve analysts
-// releases the deployment promised were gone.
-func TestTTLExpiryReDerivedAcrossCrashRecovery(t *testing.T) {
-	for _, clean := range []bool{false, true} {
-		name := "crash (WAL replay)"
-		if clean {
-			name = "clean (snapshot load)"
-		}
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := OpenStore(dir, WithTTL(time.Hour), WithoutSync())
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Backdate the clock so "stale" is journaled with a StoredAt
-			// already beyond the TTL at reopen time, while "fresh" is
-			// current. Only the injected clock is synthetic — the bytes
-			// on disk are exactly what a real store would have written
-			// two hours ago.
-			past := time.Now().Add(-2 * time.Hour)
-			s.now = func() time.Time { return past }
-			if _, err := s.Put("stale", testRelease(t, 1)); err != nil {
-				t.Fatal(err)
-			}
-			s.now = time.Now
-			if _, err := s.Put("fresh", testRelease(t, 2)); err != nil {
-				t.Fatal(err)
-			}
-			if clean {
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
-			} // else: kill — no Close, no snapshot; the WAL carries both puts
-
-			re, err := OpenStore(dir, WithTTL(time.Hour), WithoutSync())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
-			if _, _, ok := re.Get("stale"); ok {
-				t.Fatal("TTL-expired entry resurrected through recovery")
-			}
-			if _, _, ok := re.Get("fresh"); !ok {
-				t.Fatal("unexpired entry lost in recovery")
-			}
-			if re.Len() != 1 {
-				t.Fatalf("Len = %d after recovery, want 1", re.Len())
-			}
-			// Expiry is not deletion: the stale name's version sequence
-			// continues, proving the entry existed and was expired (not
-			// silently dropped).
-			entry, err := re.Put("stale", testRelease(t, 3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if entry.Version != 2 {
-				t.Fatalf("post-recovery version = %d, want 2", entry.Version)
-			}
-		})
-	}
-}
-
 func TestStoreAutoSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir, WithBudget(100), WithSnapshotEvery(5))
@@ -501,7 +436,7 @@ func TestNamespaceIsolation(t *testing.T) {
 }
 
 // The sharded store preserves the Store contract under every shard
-// count, including capacity splitting and cross-shard List/Len.
+// count, including cross-shard List/Len.
 func TestStoreSharding(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -534,18 +469,6 @@ func TestStoreSharding(t *testing.T) {
 				t.Fatal("delete across shards broken")
 			}
 		})
-	}
-	// Capacity with explicit shards: the bound is enforced per shard, so
-	// the store-wide count stays within ceil(cap/shards)*shards.
-	s := NewStore(WithShards(4), WithCapacity(8))
-	rel := want0Release(t)
-	for i := 0; i < 100; i++ {
-		if _, err := s.Put(fmt.Sprintf("k%d", i), rel); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n, limit := s.Len(), 8; n > limit {
-		t.Fatalf("capacity 8 over 4 shards holds %d entries", n)
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"github.com/dphist/dphist/internal/journal"
@@ -205,7 +204,6 @@ func (s *Store) clearStateForBootstrap() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		clear(sh.items)
-		sh.recency.Init()
 		clear(sh.versions)
 		sh.mu.Unlock()
 	}
@@ -270,9 +268,7 @@ func (s *Store) ReplicationSignal() <-chan struct{} {
 	return s.jnl.Updated()
 }
 
-// applySnapshot loads complete store state. Entries are inserted oldest
-// StoredAt first so the recovered recency order approximates the
-// pre-crash one.
+// applySnapshot loads complete store state.
 func (s *Store) applySnapshot(snap *storeSnapshot) error {
 	for _, v := range snap.Versions {
 		k := nsKey{v.Namespace, v.Name}
@@ -281,9 +277,7 @@ func (s *Store) applySnapshot(snap *storeSnapshot) error {
 			sh.versions[k] = v.Version
 		}
 	}
-	entries := append([]snapEntry(nil), snap.Entries...)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].StoredAt.Before(entries[j].StoredAt) })
-	for _, e := range entries {
+	for _, e := range snap.Entries {
 		if err := s.recoverPut(e.Namespace, e.Name, e.Version, e.StoredAt, e.Release); err != nil {
 			return err
 		}
@@ -304,9 +298,7 @@ func (s *Store) applyRecord(rec journal.Record) error {
 		k := nsKey{rec.Namespace, rec.Name}
 		sh := s.shard(k)
 		sh.mu.Lock()
-		if _, ok := sh.items[k]; ok {
-			s.removeLocked(sh, k)
-		}
+		delete(sh.items, k)
 		sh.mu.Unlock()
 		return nil
 	case journal.OpCharge:
@@ -342,14 +334,7 @@ func (s *Store) recoverPut(ns, name string, version int, storedAt time.Time, pay
 	}
 	// DecodeRelease recompiled the query plan from the wire vectors, so
 	// a recovered release serves batches exactly like the original did.
-	if it, ok := sh.items[k]; ok {
-		it.release = rel
-		it.plan = releasePlan(rel)
-		it.entry = entry
-		sh.recency.MoveToFront(it.elem)
-	} else {
-		sh.items[k] = &storeItem{release: rel, plan: releasePlan(rel), entry: entry, elem: sh.recency.PushFront(k)}
-	}
+	sh.items[k] = &storeItem{release: rel, plan: releasePlan(rel), entry: entry}
 	sh.mu.Unlock()
 	return nil
 }

@@ -5,22 +5,21 @@ package dphist
 // serves queries against them indefinitely, so the natural deployment
 // keeps every live release in memory behind a name and answers lookups
 // and range batches at traffic. Store is that retention layer: named,
-// versioned, bounded by LRU capacity and TTL, safe for concurrent use,
-// and — opened through OpenStore — durable across restarts. Releases
-// themselves are immutable, so Store hands out the stored values
-// directly; a query never copies a release.
+// versioned, safe for concurrent use, and — opened through OpenStore —
+// durable across restarts. A release was paid for in epsilon, so the
+// store never drops one on its own: a release leaves only through
+// Delete, which a durable store journals. Releases themselves are
+// immutable, so Store hands out the stored values directly; a query
+// never copies a release.
 //
 // Two scaling axes are built in:
 //
-//   - Sharding. Entries hash across N independent shards, each behind
-//     its own RWMutex, so hot Get/Query metadata traffic does not
-//     serialize on one lock — and query batches snapshot the release
-//     plus its compiled query plan under a brief read lock and compute
-//     *outside* it, so a 100k-range batch never stalls a Put. Unbounded
-//     stores default to a small shard pool; capacity-bounded stores
-//     default to one shard because exact LRU ordering is global state
-//     (WithShards overrides either way, with the capacity split per
-//     shard).
+//   - Sharding. Entries hash across N independent shards (WithShards,
+//     default 8), each behind its own RWMutex, so hot Get/Query metadata
+//     traffic does not serialize on one lock — and query batches
+//     snapshot the release plus its compiled query plan under a brief
+//     read lock and compute *outside* it, so a 100k-range batch never
+//     stalls a Put.
 //
 //   - Namespaces. Store.Namespace(name) scopes a view onto its own
 //     release keyspace and its own epsilon Accountant, so one store
@@ -32,7 +31,6 @@ package dphist
 // batch for a cache lookup would.
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sort"
@@ -45,8 +43,7 @@ import (
 )
 
 // ErrReleaseNotFound reports a Store lookup under a name that holds no
-// live release: never stored, deleted, evicted by capacity, or expired
-// by TTL.
+// live release: never stored, or deleted.
 var ErrReleaseNotFound = errors.New("dphist: release not found")
 
 // ErrBadName reports a namespace or release name the store refuses to
@@ -87,42 +84,23 @@ type StoreEntry struct {
 	// Version counts Puts under this namespace/name, starting at 1.
 	// Versions are monotone for the lifetime of the Store — including
 	// across restarts of a durable store: re-storing a name after
-	// deletion or eviction continues the sequence rather than restarting
-	// it, so an analyst can always tell a re-mint from a re-read.
+	// deletion continues the sequence rather than restarting it, so an
+	// analyst can always tell a re-mint from a re-read.
 	Version int
 	// Strategy, Epsilon, and Domain summarize the release without
 	// touching its counts.
 	Strategy Strategy
 	Epsilon  float64
 	Domain   int
-	// StoredAt is the Put time; TTL expiry is measured from it.
+	// StoredAt is the Put time.
 	StoredAt time.Time
 }
 
 // StoreOption configures a Store.
 type StoreOption func(*Store)
 
-// WithCapacity bounds the number of retained releases: a Put that grows
-// the store past n evicts least-recently-used entries first. Get and
-// Query refresh recency. n <= 0 (the default) means unbounded. The bound
-// counts entries across all namespaces; with more than one shard it is
-// enforced per shard (each gets ceil(n/shards)), so the store-wide count
-// stays within one entry per shard of n.
-func WithCapacity(n int) StoreOption {
-	return func(s *Store) { s.capacity = n }
-}
-
-// WithTTL expires entries d after they were stored, regardless of use —
-// a privacy-motivated bound as much as a memory one, since a deployment
-// may promise analysts data no staler than d. d <= 0 (the default)
-// means entries never expire.
-func WithTTL(d time.Duration) StoreOption {
-	return func(s *Store) { s.ttl = d }
-}
-
-// WithShards fixes the number of hash shards. The default is 1 when a
-// capacity bound is set (exact global LRU) and defaultShards otherwise.
-// It panics unless 1 <= n <= 4096.
+// WithShards fixes the number of hash shards (default 8). It panics
+// unless 1 <= n <= 4096.
 func WithShards(n int) StoreOption {
 	if n < 1 || n > 4096 {
 		panic(fmt.Sprintf("dphist: shard count %d outside [1, 4096]", n))
@@ -138,19 +116,16 @@ func WithBudget(total float64) StoreOption {
 	return func(s *Store) { s.budget = total }
 }
 
-// defaultShards is the shard count for unbounded stores; capacity-
-// bounded stores default to a single shard so LRU order stays exact.
+// defaultShards is the shard count when WithShards is not given.
 const defaultShards = 8
 
-// storeItem is one live entry plus its position in the shard's recency
-// list. The compiled query plan rides alongside the release so the
-// query paths can snapshot both under one brief read lock and answer
-// whole batches outside it.
+// storeItem is one live entry. The compiled query plan rides alongside
+// the release so the query paths can snapshot both under one brief read
+// lock and answer whole batches outside it.
 type storeItem struct {
 	release Release
 	plan    *plan.Plan // nil for external Release implementations
 	entry   StoreEntry
-	elem    *list.Element // element of storeShard.recency; Value is the nsKey
 }
 
 // nsKey addresses one entry: a name inside a namespace.
@@ -160,36 +135,31 @@ type nsKey struct {
 }
 
 // storeShard is one independently locked slice of the keyspace. Writers
-// take the write lock; the query/get snapshot path takes only the read
-// lock when no recency bookkeeping is needed, so a slow batch never
-// stalls a Put on the same shard.
+// take the write lock; readers take only the read lock, so a slow batch
+// never stalls a Put on the same shard.
 type storeShard struct {
 	mu       sync.RWMutex
 	items    map[nsKey]*storeItem
-	recency  *list.List    // front = most recently used
-	versions map[nsKey]int // per-key Put counter; survives eviction
+	versions map[nsKey]int // per-key Put counter; survives deletion
 }
 
-// Store is a versioned release store with LRU and TTL eviction, hash
-// sharding, and per-namespace budget accounting. The zero value is not
-// usable; construct with NewStore (in-memory) or OpenStore (durable).
-// All methods are safe for concurrent use.
+// Store is a versioned release store with hash sharding and
+// per-namespace budget accounting. The zero value is not usable;
+// construct with NewStore (in-memory) or OpenStore (durable). All
+// methods are safe for concurrent use.
 //
-// Version counters deliberately survive eviction and deletion (so a
-// re-mint is always distinguishable from a re-read), which means the
-// counter map grows with the number of distinct names ever stored —
-// a few words per name — even when capacity bounds the releases
-// themselves. Deployments minting under unbounded fresh names should
-// recycle a fixed name scheme.
+// The store holds every release until it is deleted: memory grows with
+// the releases minted, each of which was charged against a budget.
+// Version counters deliberately survive deletion (so a re-mint is
+// always distinguishable from a re-read), which means the counter map
+// grows with the number of distinct names ever stored — a few words per
+// name. Deployments minting under unbounded fresh names should recycle
+// a fixed name scheme.
 type Store struct {
-	capacity   int // requested store-wide bound; 0 = unbounded
-	shardCap   int // derived per-shard bound
-	ttl        time.Duration
 	shardCount int
 	budget     float64
 	snapEvery  int
 	syncWrites bool
-	now        func() time.Time // injectable clock for tests
 
 	shards []*storeShard
 
@@ -219,27 +189,18 @@ func NewStore(opts ...StoreOption) *Store {
 		budget:     1.0,
 		snapEvery:  defaultSnapshotEvery,
 		syncWrites: true,
-		now:        time.Now,
 		accts:      make(map[string]*Accountant),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
 	if s.shardCount == 0 {
-		if s.capacity > 0 {
-			s.shardCount = 1
-		} else {
-			s.shardCount = defaultShards
-		}
-	}
-	if s.capacity > 0 {
-		s.shardCap = (s.capacity + s.shardCount - 1) / s.shardCount
+		s.shardCount = defaultShards
 	}
 	s.shards = make([]*storeShard, s.shardCount)
 	for i := range s.shards {
 		s.shards[i] = &storeShard{
 			items:    make(map[nsKey]*storeItem),
-			recency:  list.New(),
 			versions: make(map[nsKey]int),
 		}
 	}
@@ -305,17 +266,13 @@ type NamespaceCount struct {
 // NamespaceCounts reports every namespace Namespaces lists, sorted by
 // name, with its number of live releases: zero for a namespace that only
 // has an accountant. It is one pass over the shards under their read
-// locks, skipping expired entries without removing them, so it never
-// stalls a query and creates no state.
+// locks, so it never stalls a query and creates no state.
 func (s *Store) NamespaceCounts() []NamespaceCount {
 	counts := make(map[string]int)
-	now := s.nowIfTTL()
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for k, it := range sh.items {
-			if !s.expired(it, now) {
-				counts[k.ns]++
-			}
+		for k := range sh.items {
+			counts[k.ns]++
 		}
 		sh.mu.RUnlock()
 	}
@@ -499,9 +456,9 @@ func (n *Namespace) Len() int {
 
 // Version returns the name's current Put counter in this namespace — the
 // number of times the name has ever been stored — or 0 if it never was.
-// Unlike Get, it answers for names whose releases were deleted, evicted,
-// or TTL-expired: version counters deliberately outlive their entries
-// (and, on a durable store, the process), which lets sequence-structured
+// Unlike Get, it answers for names whose releases were deleted: version
+// counters deliberately outlive their entries (and, on a durable store,
+// the process), which lets sequence-structured
 // writers such as the ingest engine's epoch scheduler resume exactly
 // where a previous process stopped.
 func (n *Namespace) Version(name string) int {
@@ -523,10 +480,9 @@ func (n *Namespace) Mint(session *Session, name string, req Request) (Release, S
 
 // Put stores the release under name in the default namespace, replacing
 // any previous holder and bumping the name's version. It returns the new
-// entry metadata. Storing may evict: expired entries are dropped first,
-// then least-recently-used ones until the capacity bound holds. On a
-// durable store the release is journaled (and by default fsynced)
-// before Put returns.
+// entry metadata. Storing never removes another entry. On a durable
+// store the release is journaled (and by default fsynced) before Put
+// returns.
 func (s *Store) Put(name string, r Release) (StoreEntry, error) {
 	return s.put(DefaultNamespace, name, r)
 }
@@ -571,15 +527,15 @@ func (s *Store) mint(session *Session, ns, name string, req Request) (Release, S
 }
 
 // Get returns the live release stored under name in the default
-// namespace and its metadata, refreshing its recency. The boolean
-// reports whether the name held a live (present, unexpired) release.
+// namespace and its metadata. The boolean reports whether the name held
+// a live release.
 func (s *Store) Get(name string) (Release, StoreEntry, bool) {
 	return s.get(DefaultNamespace, name)
 }
 
 // Query answers a batch of range queries against the release stored
-// under name in the default namespace, refreshing its recency. It fails
-// with ErrReleaseNotFound when the name holds no live release; spec
+// under name in the default namespace. It fails with
+// ErrReleaseNotFound when the name holds no live release; spec
 // validation follows QueryBatch. The release is read outside the store
 // lock, so long batches do not block other store traffic.
 func (s *Store) Query(name string, specs []RangeSpec) ([]float64, StoreEntry, error) {
@@ -595,11 +551,11 @@ func (s *Store) QueryInto(dst []float64, name string, specs []RangeSpec) ([]floa
 }
 
 // QueryRects answers a batch of rectangle queries against the 2-D
-// release stored under name in the default namespace, refreshing its
-// recency. It fails with ErrReleaseNotFound when the name holds no live
-// release and with ErrNotRectangular when the stored release answers no
-// rectangle queries; spec validation follows QueryRects. Like Query,
-// the release is read outside the store lock.
+// release stored under name in the default namespace. It fails with
+// ErrReleaseNotFound when the name holds no live release and with
+// ErrNotRectangular when the stored release answers no rectangle
+// queries; spec validation follows QueryRects. Like Query, the release
+// is read outside the store lock.
 func (s *Store) QueryRects(name string, specs []RectSpec) ([]float64, StoreEntry, error) {
 	return s.queryRects(DefaultNamespace, name, specs)
 }
@@ -611,7 +567,7 @@ func (s *Store) QueryRectsInto(dst []float64, name string, specs []RectSpec) ([]
 }
 
 // List returns the metadata of every live entry in the default
-// namespace, sorted by name. It does not refresh recency.
+// namespace, sorted by name.
 func (s *Store) List() []StoreEntry { return s.list(DefaultNamespace) }
 
 // Delete removes the entry under name in the default namespace,
@@ -653,8 +609,6 @@ func (s *Store) put(ns, name string, r Release) (StoreEntry, error) {
 	k := nsKey{ns, name}
 	sh := s.shard(k)
 	sh.mu.Lock()
-	now := s.now()
-	s.sweepExpiredLocked(sh, now)
 	entry := StoreEntry{
 		Namespace: ns,
 		Name:      name,
@@ -662,7 +616,7 @@ func (s *Store) put(ns, name string, r Release) (StoreEntry, error) {
 		Strategy:  r.Strategy(),
 		Epsilon:   r.Epsilon(),
 		Domain:    releaseDomain(r),
-		StoredAt:  now,
+		StoredAt:  time.Now(),
 	}
 	// Durability before visibility: the put must be on disk before any
 	// reader can observe it, or a crash would forget a release the
@@ -675,20 +629,7 @@ func (s *Store) put(ns, name string, r Release) (StoreEntry, error) {
 		return StoreEntry{}, err
 	}
 	sh.versions[k] = entry.Version
-	if it, ok := sh.items[k]; ok {
-		it.release = r
-		it.plan = releasePlan(r)
-		it.entry = entry
-		sh.recency.MoveToFront(it.elem)
-	} else {
-		sh.items[k] = &storeItem{release: r, plan: releasePlan(r), entry: entry, elem: sh.recency.PushFront(k)}
-	}
-	// Capacity evictions are not journaled: they are a cache policy, not
-	// an event, and recovery re-derives them by re-running the bound
-	// over the replayed state.
-	for s.shardCap > 0 && len(sh.items) > s.shardCap {
-		s.removeLocked(sh, sh.recency.Back().Value.(nsKey))
-	}
+	sh.items[k] = &storeItem{release: r, plan: releasePlan(r), entry: entry}
 	sh.mu.Unlock()
 	if s.jnl != nil {
 		s.opMu.RUnlock()
@@ -704,52 +645,18 @@ func (s *Store) get(ns, name string) (Release, StoreEntry, bool) {
 }
 
 // snapshotLive returns the live release, its compiled plan, and its
-// metadata under k. On an unbounded store it holds only a brief read
-// lock — no recency or clock bookkeeping — so slow readers never stall
-// writers on the shard; a capacity-bounded store takes the write lock
-// to refresh recency. Expired entries are removed (upgrading to the
-// write lock when needed) and reported as absent.
+// metadata under k. It holds only a brief read lock, so slow readers
+// never stall writers on the shard.
 func (s *Store) snapshotLive(k nsKey) (Release, *plan.Plan, StoreEntry, bool) {
 	sh := s.shard(k)
-	if s.shardCap == 0 {
-		sh.mu.RLock()
-		it, ok := sh.items[k]
-		var rel Release
-		var pl *plan.Plan
-		var entry StoreEntry
-		expired := false
-		if ok {
-			if s.ttl > 0 && s.expired(it, s.now()) {
-				expired = true
-			} else {
-				rel, pl, entry = it.release, it.plan, it.entry
-			}
-		}
+	sh.mu.RLock()
+	it, ok := sh.items[k]
+	if !ok {
 		sh.mu.RUnlock()
-		if expired {
-			// Upgrade to remove the corpse; the re-check guards a racing
-			// Put that revived the name.
-			sh.mu.Lock()
-			if it, ok := sh.items[k]; ok && s.expired(it, s.now()) {
-				s.removeLocked(sh, k)
-			}
-			sh.mu.Unlock()
-			return nil, nil, StoreEntry{}, false
-		}
-		if !ok {
-			return nil, nil, StoreEntry{}, false
-		}
-		return rel, pl, entry, true
-	}
-	sh.mu.Lock()
-	it := s.liveLocked(sh, k)
-	if it == nil {
-		sh.mu.Unlock()
 		return nil, nil, StoreEntry{}, false
 	}
-	sh.recency.MoveToFront(it.elem)
 	rel, pl, entry := it.release, it.plan, it.entry
-	sh.mu.Unlock()
+	sh.mu.RUnlock()
 	return rel, pl, entry, true
 }
 
@@ -792,15 +699,13 @@ func (s *Store) queryRectsInto(dst []float64, ns, name string, specs []RectSpec)
 	return answers, entry, nil
 }
 
-// list and length only read: they take the shard read locks and skip
-// expired entries, leaving their removal to writers and snapshotLive.
+// list and length only read: they take the shard read locks.
 func (s *Store) list(ns string) []StoreEntry {
 	var out []StoreEntry
-	now := s.nowIfTTL()
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for k, it := range sh.items {
-			if k.ns == ns && !s.expired(it, now) {
+			if k.ns == ns {
 				out = append(out, it.entry)
 			}
 		}
@@ -827,7 +732,7 @@ func (s *Store) delete(ns, name string) bool {
 	k := nsKey{ns, name}
 	sh := s.shard(k)
 	sh.mu.Lock()
-	if s.liveLocked(sh, k) == nil {
+	if _, ok := sh.items[k]; !ok {
 		sh.mu.Unlock()
 		if s.jnl != nil {
 			s.opMu.RUnlock()
@@ -835,7 +740,7 @@ func (s *Store) delete(ns, name string) bool {
 		return false
 	}
 	s.journalDelete(ns, name)
-	s.removeLocked(sh, k)
+	delete(sh.items, k)
 	sh.mu.Unlock()
 	if s.jnl != nil {
 		s.opMu.RUnlock()
@@ -855,66 +760,14 @@ func (s *Store) version(ns, name string) int {
 
 func (s *Store) length(ns string) int {
 	n := 0
-	now := s.nowIfTTL()
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for k, it := range sh.items {
-			if k.ns == ns && !s.expired(it, now) {
+		for k := range sh.items {
+			if k.ns == ns {
 				n++
 			}
 		}
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-// liveLocked returns the item under k if present and unexpired, removing
-// it (and returning nil) when expired. The clock is only consulted when
-// a TTL is configured — time.Now would otherwise dominate the read path.
-func (s *Store) liveLocked(sh *storeShard, k nsKey) *storeItem {
-	it, ok := sh.items[k]
-	if !ok {
-		return nil
-	}
-	if s.ttl > 0 && s.expired(it, s.now()) {
-		s.removeLocked(sh, k)
-		return nil
-	}
-	return it
-}
-
-func (s *Store) expired(it *storeItem, now time.Time) bool {
-	return s.ttl > 0 && now.Sub(it.entry.StoredAt) >= s.ttl
-}
-
-// nowIfTTL reads the clock only when a TTL makes the answer matter;
-// expiry-sweep callers on TTL-free stores skip the time.Now cost.
-func (s *Store) nowIfTTL() time.Time {
-	if s.ttl > 0 {
-		return s.now()
-	}
-	return time.Time{}
-}
-
-// sweepExpiredLocked drops every expired entry in the shard. TTL runs
-// from StoredAt while the recency list orders by use, so a full scan is
-// needed; the store is capacity-bounded in any deployment that cares,
-// keeping this O(capacity). Expiry is never journaled — it is a pure
-// function of StoredAt and the TTL option, so recovery re-derives it.
-func (s *Store) sweepExpiredLocked(sh *storeShard, now time.Time) {
-	if s.ttl <= 0 {
-		return
-	}
-	for k, it := range sh.items {
-		if s.expired(it, now) {
-			s.removeLocked(sh, k)
-		}
-	}
-}
-
-// removeLocked drops the entry under k.
-func (s *Store) removeLocked(sh *storeShard, k nsKey) {
-	it := sh.items[k]
-	sh.recency.Remove(it.elem)
-	delete(sh.items, k)
 }

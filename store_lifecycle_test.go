@@ -1,18 +1,16 @@
 package dphist
 
 // Regression tests for the answer life-cycle contract: a release's
-// answers must die with the release. After a Delete, a same-name re-Put
-// (version bump), a TTL expiry or a capacity eviction, Query must never
-// answer from the old release — including across an OpenStore
-// kill-and-reopen, where versions continue. Every batch is answered from
-// the live release's compiled plan, so these pin the Store's lookup, not
-// any answer memo.
+// answers must die with the release. After a Delete or a same-name
+// re-Put (version bump), Query must never answer from the old release —
+// including across an OpenStore kill-and-reopen, where versions
+// continue. Every batch is answered from the live release's compiled
+// plan, so these pin the Store's lookup, not any answer memo.
 
 import (
 	"errors"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func mintTestRelease(t testing.TB, seed uint64) *UniversalRelease {
@@ -66,40 +64,6 @@ func TestQueryCacheInvalidatedByDelete(t *testing.T) {
 	}
 	if _, _, err := s.Query("r", lifecycleTestSpecs); !errors.Is(err, ErrReleaseNotFound) {
 		t.Fatalf("query after delete = %v, want ErrReleaseNotFound", err)
-	}
-}
-
-func TestQueryCacheInvalidatedByTTLExpiry(t *testing.T) {
-	s := NewStore(WithTTL(time.Hour))
-	now := time.Now()
-	s.now = func() time.Time { return now }
-	if _, err := s.Put("r", mintTestRelease(t, 56)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Query("r", lifecycleTestSpecs); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(2 * time.Hour)
-	if _, _, err := s.Query("r", lifecycleTestSpecs); !errors.Is(err, ErrReleaseNotFound) {
-		t.Fatalf("query after expiry = %v, want ErrReleaseNotFound", err)
-	}
-}
-
-// Capacity eviction is store policy, not analyst-visible state, but the
-// evicted release's answers must die with the entry all the same.
-func TestQueryCacheInvalidatedByCapacityEviction(t *testing.T) {
-	s := NewStore(WithCapacity(1))
-	if _, err := s.Put("a", mintTestRelease(t, 57)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Query("a", lifecycleTestSpecs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put("b", mintTestRelease(t, 58)); err != nil { // evicts "a"
-		t.Fatal(err)
-	}
-	if _, _, err := s.Query("a", lifecycleTestSpecs); !errors.Is(err, ErrReleaseNotFound) {
-		t.Fatalf("query after eviction = %v, want ErrReleaseNotFound", err)
 	}
 }
 

@@ -143,7 +143,7 @@ func TestConcurrentQueryAndPutRace(t *testing.T) {
 // that took the write lock would wait out every reader, and its pending
 // Lock would stall each new reader behind it.
 func TestNamespaceProbesTakeReadLocks(t *testing.T) {
-	s := NewStore(WithShards(4), WithTTL(time.Hour))
+	s := NewStore(WithShards(4))
 	if _, err := s.Namespace("tenant").Put("r", testRelease(t, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -172,23 +172,15 @@ func TestNamespaceProbesTakeReadLocks(t *testing.T) {
 }
 
 // The per-namespace release count behind /v1/stats, and the Len and
-// List probes, only read: they return while every shard is read-locked,
-// count only live entries, and leave expired ones for writers to remove.
+// List probes, only read: they return while every shard is read-locked
+// and count the namespace's entries.
 func TestNamespaceCountsTakeReadLocks(t *testing.T) {
-	s := NewStore(WithShards(4), WithTTL(time.Hour))
-	clock := time.Unix(1000, 0)
-	s.now = func() time.Time { return clock }
-	for _, name := range []string{"old", "r1", "r2"} {
+	s := NewStore(WithShards(4))
+	for _, name := range []string{"r1", "r2"} {
 		if _, err := s.Namespace("tenant").Put(name, testRelease(t, 1)); err != nil {
 			t.Fatal(err)
 		}
-		if name == "old" {
-			clock = clock.Add(50 * time.Minute)
-		}
 	}
-	// Now "old" has expired and r1 and r2 have not, and no write has run
-	// since, so the expired entry is still in its shard.
-	clock = clock.Add(20 * time.Minute)
 	s.Namespace("budget-only").Accountant()
 	for _, sh := range s.shards {
 		sh.mu.RLock()
@@ -223,13 +215,6 @@ func TestNamespaceCountsTakeReadLocks(t *testing.T) {
 	}
 	if got.n != 2 || len(got.entries) != 2 || got.entries[0].Name != "r1" || got.entries[1].Name != "r2" {
 		t.Errorf("Len = %d, List = %+v, want the two live entries", got.n, got.entries)
-	}
-	held := 0
-	for _, sh := range s.shards {
-		held += len(sh.items)
-	}
-	if held != 3 {
-		t.Errorf("shards hold %d entries after the probes, want 3: reads must not sweep", held)
 	}
 }
 

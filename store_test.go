@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
-	"time"
 )
 
 func testRelease(t testing.TB, seed uint64) Release {
@@ -153,66 +152,6 @@ func TestStoreRejectsUnroutableNames(t *testing.T) {
 	}
 }
 
-func TestStoreLRUEviction(t *testing.T) {
-	s := NewStore(WithCapacity(2))
-	for i, name := range []string{"a", "b"} {
-		if _, err := s.Put(name, testRelease(t, uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Touch "a" so "b" is the eviction candidate.
-	if _, _, ok := s.Get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	if _, err := s.Put("c", testRelease(t, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s.Get("b"); ok {
-		t.Fatal("least recently used entry survived")
-	}
-	for _, name := range []string{"a", "c"} {
-		if _, _, ok := s.Get(name); !ok {
-			t.Fatalf("%s evicted", name)
-		}
-	}
-	// Versions are monotone across eviction: re-storing "b" is v2.
-	entry, err := s.Put("b", testRelease(t, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entry.Version != 2 {
-		t.Fatalf("re-stored version = %d, want 2", entry.Version)
-	}
-}
-
-func TestStoreTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	s := NewStore(WithTTL(time.Minute))
-	s.now = func() time.Time { return now }
-	if _, err := s.Put("a", testRelease(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	now = now.Add(59 * time.Second)
-	if _, _, ok := s.Get("a"); !ok {
-		t.Fatal("entry expired early")
-	}
-	now = now.Add(2 * time.Second)
-	if _, _, ok := s.Get("a"); ok {
-		t.Fatal("expired entry served")
-	}
-	if s.Len() != 0 || len(s.List()) != 0 {
-		t.Fatal("expired entry still listed")
-	}
-	// Expiry is not deletion: the version sequence continues.
-	entry, err := s.Put("a", testRelease(t, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entry.Version != 2 {
-		t.Fatalf("post-expiry version = %d, want 2", entry.Version)
-	}
-}
-
 func TestStoreListAndDelete(t *testing.T) {
 	s := NewStore()
 	for _, name := range []string{"c", "a", "b"} {
@@ -304,9 +243,9 @@ func TestStoreMint(t *testing.T) {
 }
 
 // The serving-layer torture test: parallel puts, gets, queries, lists,
-// and deletes against one bounded store, run under -race.
+// and deletes against one store, run under -race.
 func TestStoreConcurrency(t *testing.T) {
-	s := NewStore(WithCapacity(8), WithTTL(time.Hour))
+	s := NewStore()
 	rel := testRelease(t, 1)
 	specs := []RangeSpec{{Lo: 0, Hi: 8}, {Lo: 1, Hi: 3}}
 	var wg sync.WaitGroup
@@ -340,7 +279,7 @@ func TestStoreConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := s.Len(); n > 8 {
-		t.Fatalf("capacity 8 store holds %d entries", n)
+	if n := s.Len(); n > 12 {
+		t.Fatalf("store of 12 names holds %d entries", n)
 	}
 }
