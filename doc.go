@@ -288,17 +288,18 @@
 //
 // The HTTP query hot path (POST /v1/query and /v1/query2d in
 // internal/server) allocates once per request at steady state: request
-// bodies land in pooled buffers, a hand-rolled streaming parser —
-// fuzz-proven equivalent to encoding/json on the request grammar,
-// including field-name folding, duplicate-key and null semantics,
-// string escapes, and integer range — fills pooled spec slices, batch
-// answers flow through Namespace.QueryInto into pooled result slices,
-// and the response is encoded with an append-based writer that matches
-// json.Encoder byte for byte. The one remaining allocation is the
-// Content-Type header write inside net/http. Spec elements written
-// exactly as json.Marshal writes them ({"lo":D,"hi":D}, no whitespace)
-// take a fast path about four times faster than the general parser,
-// which decodes every element that differs from its first byte.
+// bodies land in pooled buffers, one hand-rolled streaming parser for
+// both routes — fuzz-proven equivalent to encoding/json on the request
+// grammar, including field-name folding, duplicate-key and null
+// semantics, string escapes, and integer range — fills pooled spec
+// slices, batch answers flow through Namespace.QueryInto or
+// QueryRectsInto into pooled result slices, and the response is
+// encoded with an append-based writer that matches json.Encoder byte
+// for byte. The one remaining allocation is the Content-Type header
+// write inside net/http. Spec elements written exactly as json.Marshal
+// writes them ({"lo":D,"hi":D}, no whitespace) take a fast path about
+// four times faster than the general parser, which decodes every
+// element that differs from its first byte.
 //
 // The mint path formats each release once per destination with
 // AppendRelease, the one encoder behind every MarshalJSON: the server

@@ -73,6 +73,10 @@ var ErrLiveDisabled = errors.New("ingest: live count surface disabled")
 // at O(log) memory and noise scale 21/eps.
 const DefaultLiveHorizon = 1 << 20
 
+// queueLen bounds each worker's batch queue, in batches; past it Ingest
+// blocks, which is the backpressure contract.
+const queueLen = 256
+
 // EpochName returns the versioned store name of a stream's n-th epoch
 // release (1-based): "clicks@epoch-42".
 func EpochName(stream string, n int) string {
@@ -127,9 +131,6 @@ type Config struct {
 	// Shards is the worker count (default 4). Events hash by (namespace,
 	// stream, bucket), so one bucket is always owned by one worker.
 	Shards int
-	// QueueLen bounds each worker's batch queue (default 256 batches);
-	// past it Ingest blocks, which is the backpressure contract.
-	QueueLen int
 	// Retain, when positive, deletes "<stream>@epoch-<n-Retain>" as
 	// epoch n is minted, bounding live epochs per stream; with Retain
 	// zero every epoch stays in the store until deleted.
@@ -267,9 +268,6 @@ func New(cfg Config) (*Ingester, error) {
 	if cfg.Shards < 1 || cfg.Shards > 1024 {
 		return nil, fmt.Errorf("ingest: shard count %d outside [1, 1024]", cfg.Shards)
 	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 256
-	}
 	if cfg.LiveHorizon <= 0 {
 		cfg.LiveHorizon = DefaultLiveHorizon
 	}
@@ -283,7 +281,7 @@ func New(cfg Config) (*Ingester, error) {
 	}
 	for i := range in.shards {
 		in.shards[i] = &shard{
-			ch:  make(chan shardMsg, cfg.QueueLen),
+			ch:  make(chan shardMsg, queueLen),
 			acc: make(map[nsStream]*accum),
 		}
 	}

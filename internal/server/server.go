@@ -69,15 +69,8 @@ type Config struct {
 	// nil, universal2d requests are refused.
 	Cells [][]float64
 	// Budget is the total epsilon available to each namespace. When
-	// Store is set the store's own WithBudget total governs instead;
-	// when Accountant is set it governs the default namespace.
+	// Store is set the store's own WithBudget total governs instead.
 	Budget float64
-	// Accountant, when non-nil, charges default-namespace releases
-	// against an externally owned budget — embed the server in a wider
-	// deployment whose other components share the same composition
-	// bound, or inspect charges in tests. Namespaced routes always use
-	// the store's per-namespace accountants.
-	Accountant *dphist.Accountant
 	// Seed drives the noise streams.
 	Seed uint64
 	// Branching is the universal-histogram tree fan-out; 0 means 2.
@@ -139,9 +132,6 @@ type Server struct {
 	store *dphist.Store
 	start time.Time
 
-	sessMu   sync.Mutex
-	sessions map[string]*dphist.Session // one budgeted session per namespace
-
 	// Ops counters served by /v1/stats.
 	reqTotal   atomic.Int64
 	reqErrors  atomic.Int64
@@ -167,7 +157,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Follower && cfg.Store == nil {
 		return nil, errors.New("server: follower requires a replica Store")
 	}
-	if cfg.Accountant == nil && cfg.Store == nil && !(cfg.Budget > 0) {
+	if cfg.Store == nil && !(cfg.Budget > 0) {
 		return nil, fmt.Errorf("server: budget %v must be positive", cfg.Budget)
 	}
 	if cfg.Hierarchy != nil && len(cfg.Hierarchy.Leaves()) != len(cfg.Counts) {
@@ -195,7 +185,6 @@ func New(cfg Config) (*Server, error) {
 		mech:         m,
 		store:        store,
 		start:        time.Now(),
-		sessions:     make(map[string]*dphist.Session),
 		autoResolved: make([]atomic.Int64, len(dphist.Strategies())),
 	}, nil
 }
@@ -216,26 +205,11 @@ func (s *Server) noteAutoDecision(release dphist.Release) *dphist.AutoDecision {
 	return &dec
 }
 
-// session returns (creating on first use) the namespace's budgeted
-// session. Every namespace charges its own store accountant — durable
-// when the store is — except the default namespace under a legacy
-// Config.Accountant override.
+// session returns a session that charges the namespace's store
+// accountant, durable when the store is. A Session holds only the
+// mechanism and the accountant, so one is built per mint.
 func (s *Server) session(ns string) (*dphist.Session, error) {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	if sess, ok := s.sessions[ns]; ok {
-		return sess, nil
-	}
-	acct := s.cfg.Accountant
-	if acct == nil || ns != dphist.DefaultNamespace {
-		acct = s.store.Namespace(ns).Accountant()
-	}
-	sess, err := dphist.NewSessionWithAccountant(s.mech, acct)
-	if err != nil {
-		return nil, err
-	}
-	s.sessions[ns] = sess
-	return sess, nil
+	return s.store.Namespace(ns).Session(s.mech)
 }
 
 // Session returns the default namespace's budgeted session, for
@@ -262,8 +236,8 @@ func countsBuilder(strategy dphist.Strategy) requestBuilder {
 	}
 }
 
-// registry maps every servable strategy to its request builder. All six
-// library strategies are present; future strategies plug in here.
+// registry maps every servable strategy to its request builder. Every
+// library strategy is present; future strategies plug in here.
 var registry = map[dphist.Strategy]requestBuilder{
 	dphist.StrategyUniversal:      countsBuilder(dphist.StrategyUniversal),
 	dphist.StrategyLaplace:        countsBuilder(dphist.StrategyLaplace),
@@ -497,7 +471,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, c := range counts {
 		ns := namespaceStats{Name: c.Name, Releases: c.Releases}
-		if acct := s.lookupAccountant(c.Name); acct != nil {
+		if acct, ok := s.store.LookupAccountant(c.Name); ok {
 			ns.BudgetTotal, ns.BudgetSpent, ns.BudgetRemaining = acct.Total(), acct.Spent(), acct.Remaining()
 		} else {
 			// Nothing has been charged here; report the untouched budget,
@@ -509,19 +483,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, stats)
 }
 
-// lookupAccountant returns the accountant the namespace's session
-// charges, or nil when none exists yet, creating nothing: the default
-// namespace's Config.Accountant override when set, else the store's.
-func (s *Server) lookupAccountant(ns string) *dphist.Accountant {
-	if ns == dphist.DefaultNamespace && s.cfg.Accountant != nil {
-		return s.cfg.Accountant
-	}
-	if a, ok := s.store.LookupAccountant(ns); ok {
-		return a
-	}
-	return nil
-}
-
 // budgetResponse is the GET /v1/budget payload.
 type budgetResponse struct {
 	Namespace string  `json:"namespace"`
@@ -531,8 +492,8 @@ type budgetResponse struct {
 }
 
 func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request, ns string) {
-	acct := s.lookupAccountant(ns)
-	if acct == nil {
+	acct, ok := s.store.LookupAccountant(ns)
+	if !ok {
 		// A read must not bring a namespace into being: probing arbitrary
 		// names would otherwise grow server state without bound. A
 		// namespace without an accountant has spent nothing, whether or
@@ -826,9 +787,9 @@ func (s *Server) handleListReleases(w http.ResponseWriter, r *http.Request, ns s
 	s.writeJSON(w, http.StatusOK, listReleasesResponse{Releases: out})
 }
 
-// maxQueryRanges bounds one /v1/query batch; query answering is cheap
-// (O(log n) per range, no budget) but unbounded batches would let one
-// analyst monopolize the connection.
+// maxQueryRanges bounds one /v1/query or /v1/query2d batch; query
+// answering is cheap (O(log n) per range, no budget) but unbounded
+// batches would let one analyst monopolize the connection.
 const maxQueryRanges = 100000
 
 // queryRequest is the POST /v1/query payload: a batch of half-open
@@ -838,47 +799,14 @@ type queryRequest struct {
 	Ranges []dphist.RangeSpec `json:"ranges"`
 }
 
-// queryResponse aligns Answers with the request's Ranges by index.
+// queryResponse is both query routes' reply; Answers aligns with the
+// request's ranges or rects by index.
 type queryResponse struct {
 	Namespace string    `json:"namespace"`
 	Name      string    `json:"name"`
 	Version   int       `json:"version"`
 	Strategy  string    `json:"strategy"`
 	Answers   []float64 `json:"answers"`
-}
-
-// handleQuery is the serving hot path: pooled scratch end to end (body,
-// specs, answers, response bytes), the wire.go hand-rolled parser
-// instead of reflection, and Namespace.QueryInto appending into the
-// scratch's answer buffer. Steady state is ~1 amortized allocation per
-// request; TestServerQueryAllocs holds the line.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ns string) {
-	sc := queryScratchPool.Get().(*queryScratch)
-	defer queryScratchPool.Put(sc)
-	if !s.readBody(w, r, sc) {
-		return
-	}
-	name, specs, err := parseQueryRequest(sc, maxQueryRanges)
-	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "malformed request: " + err.Error()})
-		return
-	}
-	if name == "" {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "name is required"})
-		return
-	}
-	view, cached := s.nsView(ns)
-	answers, entry, err := view.QueryInto(sc.answers[:0], name, specs)
-	sc.answers = answers[:0]
-	if err != nil {
-		s.serveQueryError(w, err)
-		return
-	}
-	if !cached {
-		s.nsViews.Store(ns, view)
-	}
-	s.queryCount.Add(1)
-	s.writeQueryResponse(w, sc, entry, answers)
 }
 
 // query2DRequest is the POST /v1/query2d payload: a batch of half-open
@@ -888,25 +816,29 @@ type query2DRequest struct {
 	Rects []dphist.RectSpec `json:"rects"`
 }
 
-// query2DResponse aligns Answers with the request's Rects by index.
-type query2DResponse struct {
-	Namespace string    `json:"namespace"`
-	Name      string    `json:"name"`
-	Version   int       `json:"version"`
-	Strategy  string    `json:"strategy"`
-	Answers   []float64 `json:"answers"`
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ns string) {
+	serveQuery(s, w, r, ns, parseQueryRequest, (*dphist.Namespace).QueryInto)
 }
 
-// handleQuery2D mirrors handleQuery's pooled path for rectangle
-// batches. ErrNotRectangular and malformed specs are both the analyst's
-// request to fix, so every non-404 failure maps to 400.
 func (s *Server) handleQuery2D(w http.ResponseWriter, r *http.Request, ns string) {
+	serveQuery(s, w, r, ns, parseQuery2DRequest, (*dphist.Namespace).QueryRectsInto)
+}
+
+// serveQuery is the serving hot path of both query routes: pooled
+// scratch end to end (body, specs, answers, response bytes), the wire.go
+// hand-rolled parser instead of reflection, and Namespace.QueryInto or
+// QueryRectsInto appending into the scratch's answer buffer. Steady
+// state is ~1 amortized allocation per request; TestServerQueryAllocs
+// holds the line.
+func serveQuery[S any](s *Server, w http.ResponseWriter, r *http.Request, ns string,
+	parse func(*queryScratch, int) (string, []S, error),
+	query func(*dphist.Namespace, []float64, string, []S) ([]float64, dphist.StoreEntry, error)) {
 	sc := queryScratchPool.Get().(*queryScratch)
 	defer queryScratchPool.Put(sc)
 	if !s.readBody(w, r, sc) {
 		return
 	}
-	name, rects, err := parseQuery2DRequest(sc, maxQueryRanges)
+	name, specs, err := parse(sc, maxQueryRanges)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "malformed request: " + err.Error()})
 		return
@@ -916,7 +848,7 @@ func (s *Server) handleQuery2D(w http.ResponseWriter, r *http.Request, ns string
 		return
 	}
 	view, cached := s.nsView(ns)
-	answers, entry, err := view.QueryRectsInto(sc.answers[:0], name, rects)
+	answers, entry, err := query(view, sc.answers[:0], name, specs)
 	sc.answers = answers[:0]
 	if err != nil {
 		s.serveQueryError(w, err)

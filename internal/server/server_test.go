@@ -75,21 +75,21 @@ func TestBudgetEndpoint(t *testing.T) {
 
 // The acceptance test for the strategy registry: every library strategy
 // is served by the one generic handler, each response decodes through
-// the uniform Release interface, and every charge lands on the public
-// Accountant supplied by the embedding caller.
+// the uniform Release interface, and every charge lands on the default
+// namespace's store accountant.
 func TestEveryStrategyThroughGenericHandler(t *testing.T) {
-	acct := dphist.NewAccountant(100)
 	grades := dphist.Grades()
 	s, err := New(Config{
-		Counts:     []float64{2, 0, 10, 2, 5}, // five counts = five Grades leaves
-		Cells:      [][]float64{{2, 0}, {10, 2}},
-		Accountant: acct,
-		Seed:       7,
-		Hierarchy:  grades,
+		Counts:    []float64{2, 0, 10, 2, 5}, // five counts = five Grades leaves
+		Cells:     [][]float64{{2, 0}, {10, 2}},
+		Budget:    100,
+		Seed:      7,
+		Hierarchy: grades,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	acct := s.Store().Namespace(dphist.DefaultNamespace).Accountant()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -125,8 +125,8 @@ func TestEveryStrategyThroughGenericHandler(t *testing.T) {
 			if _, err := rel.Range(0, len(rel.Counts())); err != nil {
 				t.Fatalf("decoded release cannot answer ranges: %v", err)
 			}
-			// The charge landed on the caller's accountant, labelled by
-			// strategy.
+			// The charge landed on the namespace's accountant, labelled
+			// by strategy.
 			want += eps
 			if got := acct.Spent(); got != want {
 				t.Fatalf("accountant spent %v, want %v", got, want)
@@ -717,8 +717,8 @@ func TestStatsEndpoint(t *testing.T) {
 
 // Budget probes are unauthenticated reads: a namespace with no budget
 // state, whether absent or holding releases stored without a charge,
-// answers the untouched default and gains neither an accountant nor a
-// session.
+// answers the untouched default and gains no accountant, which any
+// session over the namespace would bring into being.
 func TestBudgetProbesCreateNoState(t *testing.T) {
 	s, err := New(Config{Counts: []float64{2, 0, 10, 2, 5, 5, 5, 5}, Budget: 2.0, Seed: 7})
 	if err != nil {
@@ -750,12 +750,6 @@ func TestBudgetProbesCreateNoState(t *testing.T) {
 		if _, ok := s.store.LookupAccountant(ns); ok {
 			t.Fatalf("budget probe of %s created an accountant", ns)
 		}
-	}
-	s.sessMu.Lock()
-	sessions := len(s.sessions)
-	s.sessMu.Unlock()
-	if sessions != 0 {
-		t.Fatalf("budget probes opened %d sessions", sessions)
 	}
 }
 
@@ -900,7 +894,7 @@ func TestQuery2DOverHTTP(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s query2d: %d %s", prefix, resp.StatusCode, body)
 		}
-		var qr query2DResponse
+		var qr queryResponse
 		if err := json.Unmarshal(body, &qr); err != nil {
 			t.Fatal(err)
 		}
@@ -1005,7 +999,7 @@ func TestServer2DDurableAcrossRestart(t *testing.T) {
 	s1, store1 := open(t)
 	ts1 := httptest.NewServer(s1.Handler())
 	postJSON(t, ts1, "/v1/ns/geo/releases", `{"name":"grid","strategy":"universal2d","epsilon":0.5}`, http.StatusOK)
-	var before query2DResponse
+	var before queryResponse
 	if err := json.Unmarshal(postJSON(t, ts1, "/v1/ns/geo/query2d", batch, http.StatusOK), &before); err != nil {
 		t.Fatal(err)
 	}
@@ -1017,7 +1011,7 @@ func TestServer2DDurableAcrossRestart(t *testing.T) {
 	defer store2.Close()
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	var after query2DResponse
+	var after queryResponse
 	if err := json.Unmarshal(postJSON(t, ts2, "/v1/ns/geo/query2d", batch, http.StatusOK), &after); err != nil {
 		t.Fatal(err)
 	}

@@ -6,15 +6,19 @@
 // per-request slices it allocates dominated the served cost. This file
 // replaces that path with a pooled scratch struct carried through the
 // whole request — body bytes, decoded specs, answers, and the response
-// buffer all live in one sync.Pool entry — a hand-rolled streaming
-// parser for the two fixed request shapes, and an append-based response
-// writer built on the internal/jsonw primitives. The steady-state cost
-// is ~1 amortized allocation per request (enforced by
-// TestServerQueryAllocs). The mint replies use the same append writers,
-// with the release's wire bytes spliced in by dphist.AppendRelease.
+// buffer all live in one sync.Pool entry — one hand-rolled streaming
+// parser for both request bodies, and an append-based response writer
+// built on the internal/jsonw primitives. The steady-state cost is ~1
+// amortized allocation per request (enforced by TestServerQueryAllocs).
+// The mint replies use the same append writers, with the release's wire
+// bytes spliced in by dphist.AppendRelease.
 //
-// The parser is not "close enough" JSON: FuzzQueryRequestParse holds it
-// to encoding/json's observable behavior on the request shapes —
+// Both bodies are a name plus an array of objects with integer fields,
+// so one generic parser (parseSpecRequest, parseSpecs, parseSpec) reads
+// them, driven by a per-route shape descriptor (rangeShape, rectShape)
+// that names the array key, the element keys and the route's exact-shape
+// run. The parser is not "close enough" JSON: FuzzQueryRequestParse
+// holds it to encoding/json's observable behavior on the request shapes —
 // case-insensitive field matching (bytes.EqualFold, as encoding/json
 // folds names), last-value-wins duplicate keys, null as a field no-op,
 // unknown fields skipped with full syntactic validation, encoding/json's
@@ -31,9 +35,10 @@
 // exactRects parse runs of such elements, D being 1 to 18 digits
 // without a leading zero, which cannot overflow an int, about 4x faster
 // than the general parser (the parse-only cases of
-// BenchmarkServerQueryHTTP and BenchmarkServerQuery2DHTTP). Every other
-// element, from its first byte on, goes to the general parser, which
-// stays as it was. This keeps the encoding/json equivalence. The fast
+// BenchmarkServerQueryHTTP and BenchmarkServerQuery2DHTTP). They are
+// the hot loop, so they stay written out per shape, one call per run of
+// elements. Every other element, from its first byte on, goes to the
+// general parser. This keeps the encoding/json equivalence. The fast
 // path takes only bytes that the general parser would decode without
 // error into the same spec, both fields written. Whitespace, other key
 // spellings, signs, fractions, exponents, long numbers and malformed
@@ -540,12 +545,78 @@ func (p *wireParser) key(sc *queryScratch) error {
 }
 
 // parseQueryRequest decodes {"name": ..., "ranges": [{"lo":..,"hi":..},
-// ...]} from sc.body, appending specs into sc.specs. maxSpecs bounds the
-// batch during parsing. Returned name and specs alias the scratch's
-// pooled buffers.
-func parseQueryRequest(sc *queryScratch, maxSpecs int) (name string, specs []dphist.RangeSpec, err error) {
+// ...]} from sc.body into sc.specs.
+func parseQueryRequest(sc *queryScratch, maxSpecs int) (string, []dphist.RangeSpec, error) {
+	return parseSpecRequest(sc, &sc.specs, &rangeShape, maxSpecs)
+}
+
+// parseQuery2DRequest decodes {"name": ..., "rects": [{"x0":..,"y0":..,
+// "x1":..,"y1":..}, ...]} from sc.body into sc.rects.
+func parseQuery2DRequest(sc *queryScratch, maxSpecs int) (string, []dphist.RectSpec, error) {
+	return parseSpecRequest(sc, &sc.rects, &rectShape, maxSpecs)
+}
+
+// specShape is what one query route's body adds to the grammar both
+// routes share: a name plus an array of objects with integer fields.
+// Only the exact-shape run is written per shape, because it is the hot
+// loop; everything else reads the shape through this descriptor.
+type specShape[S any] struct {
+	key    []byte   // the spec array's key, which also prefixes its errors
+	fields [][]byte // element keys in wire order; set takes an index into it
+	noun   string   // what the cap error counts
+	// set returns spec with fields[i] set to v. Spec goes in and out by
+	// value so that the general path keeps its element on the stack.
+	set func(spec S, i, v int) S
+	// exact is the route's exact-shape run (see exactRanges). It takes
+	// the body and cursor, not the parser, which would otherwise escape
+	// to the heap through the function value.
+	exact func(s []byte, at int, specs []S, n, maxSpecs int) ([]S, int, int)
+}
+
+var (
+	nameField  = []byte("name")
+	rangeShape = specShape[dphist.RangeSpec]{
+		key:    []byte("ranges"),
+		fields: [][]byte{[]byte("lo"), []byte("hi")},
+		noun:   "ranges",
+		set: func(r dphist.RangeSpec, i, v int) dphist.RangeSpec {
+			if i == 0 {
+				r.Lo = v
+			} else {
+				r.Hi = v
+			}
+			return r
+		},
+		exact: exactRanges,
+	}
+	rectShape = specShape[dphist.RectSpec]{
+		key:    []byte("rects"),
+		fields: [][]byte{[]byte("x0"), []byte("y0"), []byte("x1"), []byte("y1")},
+		noun:   "rectangles",
+		set: func(r dphist.RectSpec, i, v int) dphist.RectSpec {
+			switch i {
+			case 0:
+				r.X0 = v
+			case 1:
+				r.Y0 = v
+			case 2:
+				r.X1 = v
+			default:
+				r.Y1 = v
+			}
+			return r
+		},
+		exact: exactRects,
+	}
+)
+
+// parseSpecRequest decodes {"name": ..., <shape.key>: [...]} from
+// sc.body, appending the specs into *dst. maxSpecs bounds the batch
+// during parsing. Returned name and specs alias the scratch's pooled
+// buffers.
+func parseSpecRequest[S any](sc *queryScratch, dst *[]S, shape *specShape[S], maxSpecs int) (name string, specs []S, err error) {
 	p := wireParser{data: sc.body}
-	sc.specs = sc.specs[:0]
+	*dst = (*dst)[:0]
 	sc.str = sc.str[:0]
 	hasName := false
 	var st specState
@@ -600,8 +671,8 @@ func parseQueryRequest(sc *queryScratch, maxSpecs int) (name string, specs []dph
 				return "", nil, fmt.Errorf("name: %w", err)
 			}
 			hasName = true
-		case bytes.EqualFold(sc.key, rangesField):
-			if err := p.parseRangeSpecs(sc, maxSpecs, &st); err != nil {
+		case bytes.EqualFold(sc.key, shape.key):
+			if err := parseSpecs(&p, sc, dst, shape, maxSpecs, &st); err != nil {
 				return "", nil, err
 			}
 		default:
@@ -620,56 +691,43 @@ func parseQueryRequest(sc *queryScratch, maxSpecs int) (name string, specs []dph
 	if !st.got {
 		return name, nil, nil
 	}
-	return name, sc.specs, nil
+	return name, *dst, nil
 }
 
 // specState tracks one request's spec-array decoding across duplicate
-// keys: got distinguishes "ranges present (possibly empty)" from
-// absent, hw is the high-water element count written this request —
-// the slots a later duplicate array may inherit from, mirroring
-// encoding/json's reuse of slice capacity it allocated earlier in the
-// same Unmarshal.
+// keys: got distinguishes "array present (possibly empty)" from absent,
+// hw is the high-water element count written this request — the slots
+// a later duplicate array may inherit from, mirroring encoding/json's
+// reuse of slice capacity it allocated earlier in the same Unmarshal.
 type specState struct {
 	got bool
 	hw  int
 }
 
-var (
-	nameField   = []byte("name")
-	rangesField = []byte("ranges")
-	rectsField  = []byte("rects")
-	loField     = []byte("lo")
-	hiField     = []byte("hi")
-	x0Field     = []byte("x0")
-	y0Field     = []byte("y0")
-	x1Field     = []byte("x1")
-	y1Field     = []byte("y1")
-)
-
-// parseRangeSpecs decodes the "ranges" array value into sc.specs. A
-// null value is a no-op (previous value kept). On a duplicate key the
-// new array decodes over the previous one's elements — a slot's fields
-// survive unless the new element overwrites them — because that is what
-// encoding/json does when it re-decodes a field into an existing slice,
-// and FuzzQueryRequestParse holds this parser to that behavior.
-func (p *wireParser) parseRangeSpecs(sc *queryScratch, maxSpecs int, st *specState) error {
+// parseSpecs decodes the spec array value into *dst. A null value
+// empties it. On a duplicate key the new array decodes over the
+// previous one's elements — a slot's fields survive unless the new
+// element overwrites them — because that is what encoding/json does
+// when it re-decodes a field into an existing slice, and
+// FuzzQueryRequestParse holds this parser to that behavior.
+func parseSpecs[S any](p *wireParser, sc *queryScratch, dst *[]S, shape *specShape[S], maxSpecs int, st *specState) error {
 	p.skipSpace()
 	if p.peekNull() {
 		// Unlike scalar fields, null decoded into a slice sets it to
 		// nil: discard everything an earlier duplicate key accumulated.
 		*st = specState{}
-		sc.specs = sc.specs[:0]
+		*dst = (*dst)[:0]
 		return p.literal("null")
 	}
 	if p.pos >= len(p.data) || p.data[p.pos] != '[' {
-		return p.errAt("ranges: expected array")
+		return p.errAt(fmt.Sprintf("%s: expected array", shape.key))
 	}
 	p.pos++
 	p.depth++
 	if p.depth > maxNestingDepth {
 		return p.errAt("exceeded max nesting depth")
 	}
-	specs := sc.specs[:st.hw] // slots an earlier duplicate key wrote
+	specs := (*dst)[:st.hw] // slots an earlier duplicate key wrote
 	st.got = true
 	n := 0
 	first := true
@@ -684,29 +742,30 @@ func (p *wireParser) parseRangeSpecs(sc *queryScratch, maxSpecs int, st *specSta
 			if len(specs) > st.hw {
 				st.hw = len(specs)
 			}
-			sc.specs = specs[:n]
+			*dst = specs[:n]
 			return nil
 		}
 		if !first {
 			if p.data[p.pos] != ',' {
-				return p.errAt("ranges: expected ',' or ']'")
+				return p.errAt(fmt.Sprintf("%s: expected ',' or ']'", shape.key))
 			}
 			p.pos++
 			p.skipSpace()
 		}
 		first = false
 		if n >= maxSpecs {
-			return fmt.Errorf("batch exceeds limit of %d ranges", maxSpecs)
+			return fmt.Errorf("batch exceeds limit of %d %s", maxSpecs, shape.noun)
 		}
 		taken := n
-		if specs, n = p.exactRanges(specs, n, maxSpecs); n > taken {
+		if specs, n, p.pos = shape.exact(p.data, p.pos, specs, n, maxSpecs); n > taken {
 			continue
 		}
-		var spec dphist.RangeSpec
+		var spec S
 		if n < len(specs) {
 			spec = specs[n]
 		}
-		if err := p.parseRangeSpec(sc, n, &spec); err != nil {
+		spec, err := parseSpec(p, sc, shape, n, spec)
+		if err != nil {
 			return err
 		}
 		if n < len(specs) {
@@ -718,295 +777,80 @@ func (p *wireParser) parseRangeSpecs(sc *queryScratch, maxSpecs int, st *specSta
 	}
 }
 
-// parseRangeSpec decodes one {"lo":..,"hi":..} element (or null, the
-// zero spec). Errors name the element index — the 400 the analyst sees
-// points at the offending spec.
-func (p *wireParser) parseRangeSpec(sc *queryScratch, i int, spec *dphist.RangeSpec) error {
+// parseSpec decodes element i (an object, or null, which leaves spec as
+// it is) over spec. Errors name the element index — the 400 the analyst
+// sees points at the offending spec.
+func parseSpec[S any](p *wireParser, sc *queryScratch, shape *specShape[S], i int, spec S) (S, error) {
 	if p.peekNull() {
-		return p.literal("null")
+		return spec, p.literal("null")
 	}
 	if p.pos >= len(p.data) || p.data[p.pos] != '{' {
-		return p.errAt(fmt.Sprintf("ranges[%d]: expected object", i))
+		return spec, p.errAt(fmt.Sprintf("%s[%d]: expected object", shape.key, i))
 	}
 	p.pos++
 	p.depth++
 	if p.depth > maxNestingDepth {
-		return p.errAt("exceeded max nesting depth")
+		return spec, p.errAt("exceeded max nesting depth")
 	}
 	first := true
 	for {
 		p.skipSpace()
 		if p.pos >= len(p.data) {
-			return errUnexpectedEnd
+			return spec, errUnexpectedEnd
 		}
 		if p.data[p.pos] == '}' {
 			p.pos++
 			p.depth--
-			return nil
+			return spec, nil
 		}
 		if !first {
 			if p.data[p.pos] != ',' {
-				return p.errAt(fmt.Sprintf("ranges[%d]: expected ',' or '}'", i))
+				return spec, p.errAt(fmt.Sprintf("%s[%d]: expected ',' or '}'", shape.key, i))
 			}
 			p.pos++
 			p.skipSpace()
 		}
 		first = false
 		if err := p.key(sc); err != nil {
-			return err
+			return spec, err
 		}
-		var dst *int
-		switch {
-		case bytes.EqualFold(sc.key, loField):
-			dst = &spec.Lo
-		case bytes.EqualFold(sc.key, hiField):
-			dst = &spec.Hi
-		default:
+		f := 0
+		for f < len(shape.fields) && !bytes.EqualFold(sc.key, shape.fields[f]) {
+			f++
+		}
+		if f == len(shape.fields) {
 			if err := p.skipValue(); err != nil {
-				return err
+				return spec, err
 			}
 			continue
 		}
 		p.skipSpace()
 		if p.peekNull() {
 			if err := p.literal("null"); err != nil {
-				return err
+				return spec, err
 			}
 			continue
 		}
 		v, err := p.int()
 		if err != nil {
-			return fmt.Errorf("ranges[%d].%s: %w", i, sc.key, err)
+			return spec, fmt.Errorf("%s[%d].%s: %w", shape.key, i, sc.key, err)
 		}
-		*dst = v
-	}
-}
-
-// parseQuery2DRequest is parseQueryRequest for {"name": ..., "rects":
-// [{"x0":..,"y0":..,"x1":..,"y1":..}, ...]}.
-func parseQuery2DRequest(sc *queryScratch, maxSpecs int) (name string, rects []dphist.RectSpec, err error) {
-	p := wireParser{data: sc.body}
-	sc.rects = sc.rects[:0]
-	sc.str = sc.str[:0]
-	hasName := false
-	var st specState
-
-	p.skipSpace()
-	if p.pos >= len(p.data) {
-		return "", nil, errUnexpectedEnd
-	}
-	if p.peekNull() {
-		if err := p.literal("null"); err != nil {
-			return "", nil, err
-		}
-		return "", nil, p.end()
-	}
-	if p.data[p.pos] != '{' {
-		return "", nil, p.errAt("expected request object")
-	}
-	p.pos++
-	p.depth++
-	first := true
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.data) {
-			return "", nil, errUnexpectedEnd
-		}
-		if p.data[p.pos] == '}' {
-			p.pos++
-			break
-		}
-		if !first {
-			if p.data[p.pos] != ',' {
-				return "", nil, p.errAt("expected ',' or '}'")
-			}
-			p.pos++
-			p.skipSpace()
-		}
-		first = false
-		if err := p.key(sc); err != nil {
-			return "", nil, err
-		}
-		switch {
-		case bytes.EqualFold(sc.key, nameField):
-			p.skipSpace()
-			if p.peekNull() {
-				if err := p.literal("null"); err != nil {
-					return "", nil, err
-				}
-				continue
-			}
-			sc.str, err = p.string(sc.str[:0])
-			if err != nil {
-				return "", nil, fmt.Errorf("name: %w", err)
-			}
-			hasName = true
-		case bytes.EqualFold(sc.key, rectsField):
-			if err := p.parseRectSpecs(sc, maxSpecs, &st); err != nil {
-				return "", nil, err
-			}
-		default:
-			if err := p.skipValue(); err != nil {
-				return "", nil, err
-			}
-		}
-	}
-	p.depth--
-	if err := p.end(); err != nil {
-		return "", nil, err
-	}
-	if hasName {
-		name = sc.internName()
-	}
-	if !st.got {
-		return name, nil, nil
-	}
-	return name, sc.rects, nil
-}
-
-// parseRectSpecs mirrors parseRangeSpecs' duplicate-key inheritance;
-// see the comment there.
-func (p *wireParser) parseRectSpecs(sc *queryScratch, maxSpecs int, st *specState) error {
-	p.skipSpace()
-	if p.peekNull() {
-		*st = specState{}
-		sc.rects = sc.rects[:0]
-		return p.literal("null")
-	}
-	if p.pos >= len(p.data) || p.data[p.pos] != '[' {
-		return p.errAt("rects: expected array")
-	}
-	p.pos++
-	p.depth++
-	if p.depth > maxNestingDepth {
-		return p.errAt("exceeded max nesting depth")
-	}
-	rects := sc.rects[:st.hw] // slots an earlier duplicate key wrote
-	st.got = true
-	n := 0
-	first := true
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.data) {
-			return errUnexpectedEnd
-		}
-		if p.data[p.pos] == ']' {
-			p.pos++
-			p.depth--
-			if len(rects) > st.hw {
-				st.hw = len(rects)
-			}
-			sc.rects = rects[:n]
-			return nil
-		}
-		if !first {
-			if p.data[p.pos] != ',' {
-				return p.errAt("rects: expected ',' or ']'")
-			}
-			p.pos++
-			p.skipSpace()
-		}
-		first = false
-		if n >= maxSpecs {
-			return fmt.Errorf("batch exceeds limit of %d rectangles", maxSpecs)
-		}
-		taken := n
-		if rects, n = p.exactRects(rects, n, maxSpecs); n > taken {
-			continue
-		}
-		var spec dphist.RectSpec
-		if n < len(rects) {
-			spec = rects[n]
-		}
-		if err := p.parseRectSpec(sc, n, &spec); err != nil {
-			return err
-		}
-		if n < len(rects) {
-			rects[n] = spec
-		} else {
-			rects = append(rects, spec)
-		}
-		n++
-	}
-}
-
-func (p *wireParser) parseRectSpec(sc *queryScratch, i int, spec *dphist.RectSpec) error {
-	if p.peekNull() {
-		return p.literal("null")
-	}
-	if p.pos >= len(p.data) || p.data[p.pos] != '{' {
-		return p.errAt(fmt.Sprintf("rects[%d]: expected object", i))
-	}
-	p.pos++
-	p.depth++
-	if p.depth > maxNestingDepth {
-		return p.errAt("exceeded max nesting depth")
-	}
-	first := true
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.data) {
-			return errUnexpectedEnd
-		}
-		if p.data[p.pos] == '}' {
-			p.pos++
-			p.depth--
-			return nil
-		}
-		if !first {
-			if p.data[p.pos] != ',' {
-				return p.errAt(fmt.Sprintf("rects[%d]: expected ',' or '}'", i))
-			}
-			p.pos++
-			p.skipSpace()
-		}
-		first = false
-		if err := p.key(sc); err != nil {
-			return err
-		}
-		var dst *int
-		switch {
-		case bytes.EqualFold(sc.key, x0Field):
-			dst = &spec.X0
-		case bytes.EqualFold(sc.key, y0Field):
-			dst = &spec.Y0
-		case bytes.EqualFold(sc.key, x1Field):
-			dst = &spec.X1
-		case bytes.EqualFold(sc.key, y1Field):
-			dst = &spec.Y1
-		default:
-			if err := p.skipValue(); err != nil {
-				return err
-			}
-			continue
-		}
-		p.skipSpace()
-		if p.peekNull() {
-			if err := p.literal("null"); err != nil {
-				return err
-			}
-			continue
-		}
-		v, err := p.int()
-		if err != nil {
-			return fmt.Errorf("rects[%d].%s: %w", i, sc.key, err)
-		}
-		*dst = v
+		spec = shape.set(spec, f, v)
 	}
 }
 
 // --- exact-shape fast path ---
 
-// exactRanges parses the run of ranges elements at the cursor written
+// exactRanges parses the run of ranges elements at s[at:] written
 // exactly as {"lo":D,"hi":D} and separated by bare commas. It stores
-// them from specs[n] on, writing both fields of each, as parseRangeSpec
-// would for the same bytes, and stops before maxSpecs. It returns the
-// grown slice and count, with the cursor just past the last element it
-// took. An element it does not take is left unread, from its first byte
-// (or the comma before it), for the general parser, which decodes it
-// and reports errors exactly as before.
-func (p *wireParser) exactRanges(specs []dphist.RangeSpec, n, maxSpecs int) ([]dphist.RangeSpec, int) {
-	s, i := p.data, p.pos
+// them from specs[n] on, writing both fields of each, as parseSpec would
+// for the same bytes, and stops before maxSpecs. It returns the grown
+// slice, the count, and the offset just past the last element it took
+// (at itself when it took none). An element it does not take is left
+// unread, from its first byte (or the comma before it), for the general
+// parser, which decodes it and reports errors exactly as before.
+func exactRanges(s []byte, at int, specs []dphist.RangeSpec, n, maxSpecs int) ([]dphist.RangeSpec, int, int) {
+	i := at
 	for n < maxSpecs && i < len(s) && s[i] == '{' {
 		lo, j := exactField(s, i+1, "lo", ',')
 		hi, k := exactField(s, j, "hi", '}')
@@ -1020,18 +864,18 @@ func (p *wireParser) exactRanges(specs []dphist.RangeSpec, n, maxSpecs int) ([]d
 			specs = append(specs, spec)
 		}
 		n++
-		p.pos = k
+		at = k
 		if k == len(s) || s[k] != ',' {
 			break
 		}
 		i = k + 1
 	}
-	return specs, n
+	return specs, n, at
 }
 
 // exactRects is exactRanges for {"x0":D,"y0":D,"x1":D,"y1":D}.
-func (p *wireParser) exactRects(rects []dphist.RectSpec, n, maxSpecs int) ([]dphist.RectSpec, int) {
-	s, i := p.data, p.pos
+func exactRects(s []byte, at int, rects []dphist.RectSpec, n, maxSpecs int) ([]dphist.RectSpec, int, int) {
+	i := at
 	for n < maxSpecs && i < len(s) && s[i] == '{' {
 		x0, j := exactField(s, i+1, "x0", ',')
 		y0, k := exactField(s, j, "y0", ',')
@@ -1047,13 +891,13 @@ func (p *wireParser) exactRects(rects []dphist.RectSpec, n, maxSpecs int) ([]dph
 			rects = append(rects, spec)
 		}
 		n++
-		p.pos = m
+		at = m
 		if m == len(s) || s[m] != ',' {
 			break
 		}
 		i = m + 1
 	}
-	return rects, n
+	return rects, n, at
 }
 
 // maxExactDigits bounds the fast path's numbers: 18 decimal digits stay

@@ -343,17 +343,42 @@ func TestQueryMalformedRequests(t *testing.T) {
 		{"bad field type with index", `{"name":"t","ranges":[{"lo":0,"hi":4},{"lo":"x"}]}`, "ranges[1].lo"},
 		{"float in int field", `{"name":"t","ranges":[{"lo":0,"hi":1.5}]}`, "ranges[0].hi"},
 		{"trailing garbage", `{"name":"t","ranges":[]}extra`, "after top-level value"},
-		{"oversize batch", oversizeBatch(), "exceeds limit"},
+		{"oversize batch", oversizeBatch("ranges", `{"lo":0,"hi":1}`), "exceeds limit"},
 		{"semantically invalid spec index", `{"name":"t","ranges":[{"lo":0,"hi":4},{"lo":3,"hi":1}]}`, "query 1"},
 	}
-	for _, tc := range cases {
-		resp, body := postJSON(t, ts, "/v1/query", tc.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, body)
-			continue
-		}
-		if !strings.Contains(string(body), tc.wantSub) {
-			t.Errorf("%s: body %q does not mention %q", tc.name, body, tc.wantSub)
+	// /v1/query2d shares the grammar and must name its own key, element
+	// index and field in the same places.
+	ts2D := httptest.NewServer(newEveryStrategyServer(t).Handler())
+	defer ts2D.Close()
+	if resp, body := postJSON(t, ts2D, "/v1/releases",
+		`{"name":"g","strategy":"universal2d","epsilon":0.5}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("mint: %d %s", resp.StatusCode, body)
+	}
+	rectCases := []struct {
+		name, body, wantSub string
+	}{
+		{"bad field type with index", `{"name":"g","rects":[{"x0":0,"y0":0,"x1":1,"y1":1},{"x0":"x"}]}`, "rects[1].x0"},
+		{"float in int field", `{"name":"g","rects":[{"x0":0,"y0":0,"x1":1,"y1":1.5}]}`, "rects[0].y1"},
+		{"wrong rects type", `{"name":"g","rects":{"x0":1}}`, "rects: expected array"},
+		{"wrong spec type", `{"name":"g","rects":[42]}`, "rects[0]: expected object"},
+		{"trailing garbage", `{"name":"g","rects":[]}extra`, "after top-level value"},
+		{"oversize batch", oversizeBatch("rects", `{"x0":0,"y0":0,"x1":1,"y1":1}`), "exceeds limit"},
+		{"semantically invalid spec index", `{"name":"g","rects":[{"x0":0,"y0":0,"x1":1,"y1":1},{"x0":2,"y0":0,"x1":1,"y1":1}]}`, "query 1"},
+	}
+	for _, route := range []struct {
+		ts    *httptest.Server
+		path  string
+		cases []struct{ name, body, wantSub string }
+	}{{ts, "/v1/query", cases}, {ts2D, "/v1/query2d", rectCases}} {
+		for _, tc := range route.cases {
+			resp, body := postJSON(t, route.ts, route.path, tc.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400 (%s)", route.path, tc.name, resp.StatusCode, body)
+				continue
+			}
+			if !strings.Contains(string(body), tc.wantSub) {
+				t.Errorf("%s %s: body %q does not mention %q", route.path, tc.name, body, tc.wantSub)
+			}
 		}
 	}
 	// Duplicate keys are legal JSON: last value wins, like encoding/json.
@@ -371,14 +396,16 @@ func TestQueryMalformedRequests(t *testing.T) {
 	}
 }
 
-func oversizeBatch() string {
+// oversizeBatch returns a body whose field array holds one elem more
+// than maxQueryRanges.
+func oversizeBatch(field, elem string) string {
 	var b strings.Builder
-	b.WriteString(`{"name":"t","ranges":[`)
+	b.WriteString(`{"name":"t","` + field + `":[`)
 	for i := 0; i <= maxQueryRanges; i++ {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(`{"lo":0,"hi":1}`)
+		b.WriteString(elem)
 	}
 	b.WriteString(`]}`)
 	return b.String()
